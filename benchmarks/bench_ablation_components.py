@@ -36,7 +36,6 @@ def test_ablation_fusion_components(benchmark, ml300_given10):
         }
         for label, overrides in variants.items():
             model.config = model.config.with_(**overrides)
-            model._cache.clear()
             out[label] = evaluate_fitted(model, split).mae
         return out
 

@@ -34,8 +34,12 @@ Two equivalent online implementations exist:
   what the scalability experiments (Fig. 5) time.
 
 Per-active-user intermediate results (cluster assignment, densified
-profile, top-K selection) are LRU-cached across calls, reproducing the
-paper's "caching intermediate results" optimisation.
+profile, top-K selection, the kernel's prepared arrays) are LRU-cached
+across calls, reproducing the paper's "caching intermediate results"
+optimisation.  The key is the content of that user's given row
+(:meth:`~repro.data.matrix.RatingMatrix.row_key`), so a write to one
+profile re-folds only that user; the cache is cleared whenever the
+config changes, so the key never needs to cover it.
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ from repro.core.icluster import (
     build_icluster,
     prepare_affinity,
     profile_cluster_affinity,
-    user_cluster_affinity,
 )
 from repro.core.local_matrix import LocalMatrix, build_local_matrix
 from repro.core.selection import TopKUsers, select_top_k_users
@@ -80,7 +83,7 @@ class ActiveUserState:
     mean: float                  # mean of given ratings
     cluster_ranking: np.ndarray  # (L,) clusters by descending affinity
     top_k: TopKUsers             # selected like-minded users
-    prepared: PreparedActiveUser | None = None  # kernel-side gathered arrays
+    prepared: PreparedActiveUser  # kernel-side gathered arrays
 
 
 class CFSF(Recommender):
@@ -114,7 +117,7 @@ class CFSF(Recommender):
         self.smoothed: SmoothedRatings | None = None
         self.icluster: IClusterIndex | None = None
         self.kernel: FusionKernel | None = None
-        self._kernel_params: tuple | None = None
+        self._kernel_config: CFSFConfig | None = None
         self._affinity_prep: PreparedAffinity | None = None
         self._cache = LRUCache(maxsize=cfg.cache_size)
         # Per-thread kernel override (see borrowed_kernel) plus a lock
@@ -190,8 +193,9 @@ class CFSF(Recommender):
         GIS, builds the batched :class:`~repro.core.fusion.FusionKernel`
         and precomputes the cluster-side Eq. 9 factors.  Called by
         :meth:`fit` and by snapshot restore; idempotent, and safe to
-        call again after mutating the offline state (it clears the
-        per-active-user cache so stale prepared arrays are dropped).
+        call again after mutating the offline state (it drops the
+        per-active-user cache, so no state built under another kernel
+        or config survives).
         """
         train, gis, smoothed, _ = self._require_online()
         cfg = self.config
@@ -207,9 +211,9 @@ class CFSF(Recommender):
             adjust_biases=cfg.adjust_biases,
         )
         self.kernel.warm_prep_slab(cfg.top_k_users)
-        self._kernel_params = (cfg.lam, cfg.delta, cfg.epsilon, cfg.adjust_biases, cfg.top_m_items)
+        self._kernel_config = cfg
         self._affinity_prep = prepare_affinity(smoothed.deviations, smoothed.deviation_counts)
-        self._cache.clear()
+        self._cache = LRUCache(maxsize=cfg.cache_size)
 
     def _require_online(
         self,
@@ -221,72 +225,52 @@ class CFSF(Recommender):
     # ------------------------------------------------------------------
     # Online phase: per-user state (steps 4-5)
     # ------------------------------------------------------------------
-    def _given_fingerprint(self, given: RatingMatrix) -> int:
-        """Cheap identity for a given-matrix, for the cross-call cache."""
-        return hash(given)
-
-    def _validate_given(self, given: RatingMatrix) -> None:
-        """Reject NaN / out-of-scale given ratings at the boundary.
-
-        Historically a poisoned given matrix (possible when an
-        ingestion layer bypasses :class:`RatingMatrix` validation)
-        failed deep inside the fusion kernel with an opaque NaN
-        result; now it is rejected here with a typed
-        :class:`~repro.serving.errors.InvalidRequestError`.  The scan
-        is O(P·Q) so its verdict is memoised per given-fingerprint in
-        the online cache.
-        """
-        key = ("given_valid", self._given_fingerprint(given))
-        if self._cache.get(key) is not None:
-            return
-        observed = given.values[given.mask]
-        if observed.size:
-            if not np.isfinite(observed).all():
-                raise InvalidRequestError(
-                    "given matrix contains non-finite observed ratings"
-                )
-            lo, hi = self._require_fitted().rating_scale
-            omin, omax = float(observed.min()), float(observed.max())
-            if omin < lo or omax > hi:
-                raise InvalidRequestError(
-                    f"given ratings lie in [{omin:g}, {omax:g}], outside the "
-                    f"trained scale [{lo:g}, {hi:g}]"
-                )
-        self._cache.put(key, True)
-
     def active_user_state(self, given: RatingMatrix, user: int) -> ActiveUserState:
-        """Fold one active user in and select their top-K users (cached)."""
+        """Fold one active user in and select their top-K users (cached).
+
+        Cached on the content of *user*'s given row, so other users'
+        profiles may change without invalidating this entry.
+        """
         if not 0 <= int(user) < given.n_users:
             raise InvalidRequestError(
                 f"user {user} out of range [0, {given.n_users})"
             )
-        key = (self._given_fingerprint(given), int(user))
+        kernel = self._require_kernel()
+        key = (given.row_key(user), int(user))
         state = self._cache.get(key)
         if state is not None:
             return state
-        state = self._compute_active_state(given, user)
+        state = self._compute_active_state(given, user, kernel)
         self._cache.put(key, state)
         return state
 
-    def _compute_active_state(self, given: RatingMatrix, user: int) -> ActiveUserState:
+    def _compute_active_state(
+        self, given: RatingMatrix, user: int, kernel: FusionKernel
+    ) -> ActiveUserState:
         train, _gis, smoothed, icluster = self._require_online()
         cfg = self.config
         items_idx, ratings = given.user_profile(user)
+        # Reject a poisoned row (an ingestion layer that bypassed
+        # RatingMatrix validation) here rather than as an opaque NaN
+        # from the kernel.  A cache hit implies identical content, which
+        # was checked when it was computed.
+        lo, hi = train.rating_scale
+        if ratings.size:
+            if not np.isfinite(ratings).all():
+                raise InvalidRequestError(
+                    f"given profile of user {user} contains non-finite ratings"
+                )
+            rmin, rmax = float(ratings.min()), float(ratings.max())
+            if rmin < lo or rmax > hi:
+                raise InvalidRequestError(
+                    f"given ratings of user {user} lie in [{rmin:g}, {rmax:g}], "
+                    f"outside the trained scale [{lo:g}, {hi:g}]"
+                )
         mean = float(ratings.mean()) if ratings.size else train.global_mean()
         active_dev = ratings - mean
 
-        if self._affinity_prep is not None:
-            affinity = profile_cluster_affinity(
-                items_idx, active_dev, self._affinity_prep
-            )
-        else:
-            affinity = user_cluster_affinity(
-                given.values[user : user + 1],
-                given.mask[user : user + 1],
-                np.array([mean]),
-                smoothed.deviations,
-                smoothed.deviation_counts,
-            )[0]
+        assert self._affinity_prep is not None  # built with the kernel
+        affinity = profile_cluster_affinity(items_idx, active_dev, self._affinity_prep)
         ranking = np.argsort(-affinity, kind="stable").astype(np.intp)
 
         # Smooth the active profile from the top clusters.  With one
@@ -300,7 +284,6 @@ class CFSF(Recommender):
             weights = np.ones(chosen.size)
         weights = weights / weights.sum()
         smoothed_row = mean + weights @ smoothed.deviations[chosen]
-        lo, hi = train.rating_scale
         np.clip(smoothed_row, lo, hi, out=smoothed_row)
         profile = np.where(given.mask[user], given.values[user], smoothed_row)
 
@@ -311,7 +294,6 @@ class CFSF(Recommender):
         )
         if candidates.size == 0:
             candidates = np.arange(train.n_users, dtype=np.intp)
-        kernel = getattr(self._tl_kernel, "kernel", None) or self.kernel
         top_k = select_top_k_users(
             items_idx,
             active_dev,
@@ -319,22 +301,19 @@ class CFSF(Recommender):
             smoothed,
             k=cfg.top_k_users,
             epsilon=cfg.epsilon,
-            weight_matrix=kernel.weight_matrix if kernel is not None else None,
-            deviation_matrix=kernel.deviation_matrix if kernel is not None else None,
+            weight_matrix=kernel.weight_matrix,
+            deviation_matrix=kernel.deviation_matrix,
         )
         observed = given.mask[user].copy()
-        prepared = (
-            kernel.prepare_user(top_k.users, top_k.similarities, profile, observed, mean)
-            if kernel is not None
-            else None
-        )
         return ActiveUserState(
             profile=profile,
             observed=observed,
             mean=mean,
             cluster_ranking=ranking,
             top_k=top_k,
-            prepared=prepared,
+            prepared=kernel.prepare_user(
+                top_k.users, top_k.similarities, profile, observed, mean
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -347,7 +326,6 @@ class CFSF(Recommender):
             raise InvalidRequestError(
                 f"item {item} out of range [0, {train.n_items})"
             )
-        self._validate_given(given)
         kernel = self._require_kernel()
         state = self.active_user_state(given, user)
         item_idx, item_sims = gis.top_m(item, self.config.top_m_items)
@@ -391,7 +369,6 @@ class CFSF(Recommender):
         users, items = self._check_request(given, users, items)
         if users.size == 0:
             return np.empty(0, dtype=np.float64)
-        self._validate_given(given)
         self._require_online()
         kernel = self._require_kernel()
         out = np.empty(users.shape, dtype=np.float64)
@@ -401,7 +378,7 @@ class CFSF(Recommender):
         if boundaries.size == 0:
             # Single-user batch (the common live-traffic shape): skip
             # the sort/split bookkeeping entirely.
-            prepared = self._prepared_for(given, int(users[0]), kernel)
+            prepared = self.active_user_state(given, int(users[0])).prepared
             return self._clip(kernel.fuse_many([(prepared, items)]))
 
         if (diffs[boundaries] > 0).all():
@@ -412,7 +389,7 @@ class CFSF(Recommender):
             edges = [0, *(boundaries + 1).tolist(), users.size]
             fuse_blocks = []
             for start, stop in zip(edges[:-1], edges[1:]):
-                prepared = self._prepared_for(given, int(users[start]), kernel)
+                prepared = self.active_user_state(given, int(users[start])).prepared
                 fuse_blocks.append((prepared, items[start:stop]))
             return self._clip(kernel.fuse_many(fuse_blocks))
 
@@ -421,7 +398,7 @@ class CFSF(Recommender):
         blocks = np.split(np.arange(users.size)[order], boundaries)
         fuse_blocks = []
         for block in blocks:
-            prepared = self._prepared_for(given, int(users[block[0]]), kernel)
+            prepared = self.active_user_state(given, int(users[block[0]])).prepared
             fuse_blocks.append((prepared, items[block]))
         fused = kernel.fuse_many(fuse_blocks)
         pos = 0
@@ -429,22 +406,6 @@ class CFSF(Recommender):
             out[block] = fused[pos : pos + block.size]
             pos += block.size
         return self._clip(out)
-
-    def _prepared_for(
-        self, given: RatingMatrix, user: int, kernel: FusionKernel
-    ) -> PreparedActiveUser:
-        """Cached prepared-user arrays for ``user`` (preparing if stale)."""
-        state = self.active_user_state(given, user)
-        prepared = state.prepared
-        if prepared is None:  # state cached before the kernel existed
-            prepared = kernel.prepare_user(
-                state.top_k.users,
-                state.top_k.similarities,
-                state.profile,
-                state.observed,
-                state.mean,
-            )
-        return prepared
 
     def warm_online(self) -> None:
         """Ensure the online hot-path structures exist (idempotent).
@@ -480,21 +441,22 @@ class CFSF(Recommender):
 
         A thread-local :meth:`borrowed_kernel` override wins outright —
         the pool that lent it owns its lifecycle.  Staleness covers
-        direct ``model.config`` replacement after fit (the ablation
-        suites flip ``lam``/``delta``/``adjust_biases`` on a fitted
-        model): the kernel bakes those in, so a changed config
-        triggers a rebuild (serialised by a lock so concurrent callers
-        cannot race the rebuild).
+        direct ``model.config`` replacement after fit (the sweeps and
+        ablation suites change online fields on a fitted model): any
+        config change rebuilds the kernel and drops the per-user state
+        built under the old config (serialised by a lock so concurrent
+        callers cannot race the rebuild).
         """
         borrowed = getattr(self._tl_kernel, "kernel", None)
         if borrowed is not None:
             return borrowed
-        cfg = self.config
-        params = (cfg.lam, cfg.delta, cfg.epsilon, cfg.adjust_biases, cfg.top_m_items)
-        if self.kernel is None or params != getattr(self, "_kernel_params", None):
+        if self.kernel is None or self.config is not self._kernel_config:
             with self._kernel_build_lock:
-                if self.kernel is None or params != getattr(self, "_kernel_params", None):
+                if self.kernel is None or self.config != self._kernel_config:
                     self.build_online_kernel()
+                # An equal config is adopted without a rebuild, so the
+                # identity test above passes from here on.
+                self._kernel_config = self.config
         assert self.kernel is not None
         return self.kernel
 

@@ -50,7 +50,6 @@ from repro.core.model import CFSF
 from repro.core.smoothing import SmoothedRatings
 from repro.data.matrix import RatingMatrix
 from repro.serving.errors import SnapshotCorruptError, SnapshotVersionError
-from repro.utils.cache import LRUCache
 
 __all__ = ["save_model", "load_model"]
 
@@ -280,7 +279,6 @@ def load_model(path: str) -> CFSF:
     )
     model._item_means = train.item_means()
     model._global_mean = train.global_mean()
-    model._cache = LRUCache(maxsize=config.cache_size)
     # Restore the online hot path (fusion kernel + affinity factors) so
     # the first request after a (re)load serves at steady-state speed.
     model.build_online_kernel()

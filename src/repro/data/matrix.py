@@ -19,6 +19,7 @@ view is provided for algorithms that genuinely iterate nonzeros.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -80,7 +81,7 @@ class RatingMatrix:
     layered above this class.
     """
 
-    __slots__ = ("_values", "_mask", "rating_scale", "_hash")
+    __slots__ = ("_values", "_mask", "rating_scale", "_hash", "_row_keys")
 
     def __init__(
         self,
@@ -107,6 +108,7 @@ class RatingMatrix:
         self._mask = mask
         self.rating_scale = (lo, hi)
         self._hash: int | None = None
+        self._row_keys: dict[int, bytes] = {}
 
     # ------------------------------------------------------------------
     # Constructors
@@ -206,9 +208,9 @@ class RatingMatrix:
         )
 
     def __hash__(self) -> int:
-        # Matrices key the online caches and are immutable, so the
-        # (array-summing) hash is computed once and memoised — it sits
-        # on the per-request serving path.
+        # For dict/set use only, not a cache key: distinct matrices
+        # collide whenever their shapes, counts and rating sums agree.
+        # The online caches key on row_key instead.
         if self._hash is None:
             self._hash = hash((self.shape, self.n_ratings, float(self._values.sum())))
         return self._hash
@@ -301,6 +303,21 @@ class RatingMatrix:
         """``(rated_item_indices, ratings)`` for one user row."""
         idx = np.nonzero(self._mask[user])[0]
         return idx, self._values[user, idx]
+
+    def row_key(self, user: int) -> bytes:
+        """Digest of one user's rated item indices and their ratings.
+
+        Two matrices give *user* the same key exactly when that user's
+        profile is the same (up to digest collisions), so the online
+        per-user caches key on it.  Memoised: the matrix is immutable.
+        """
+        key = self._row_keys.get(user)
+        if key is None:
+            idx, ratings = self.user_profile(user)
+            digest = hashlib.blake2b(idx.tobytes(), digest_size=16)
+            digest.update(ratings.tobytes())
+            key = self._row_keys[user] = digest.digest()
+        return key
 
     # ------------------------------------------------------------------
     # Functional updates

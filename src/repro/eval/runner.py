@@ -151,7 +151,6 @@ def sweep_cfsf_parameter(
         else:
             assert shared_model is not None
             shared_model.config = cfg
-            shared_model._cache.clear()
             out.append((value, evaluate_fitted(shared_model, split).light()))
     return out
 

@@ -181,7 +181,6 @@ def tune_cfsf(
             model.fit(inner.train)
             fitted[key] = model
         model.config = cfg
-        model._cache.clear()
         res = evaluate_fitted(model, inner)
         trials.append(Trial(overrides=tuple(sorted(overrides.items())), mae=res.mae))
 

@@ -123,6 +123,7 @@ def poison_given(
     poisoned._mask = mask
     poisoned.rating_scale = given.rating_scale
     poisoned._hash = None
+    poisoned._row_keys = {}
     return poisoned
 
 

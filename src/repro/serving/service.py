@@ -144,7 +144,8 @@ class PredictionService:
         attempt).
     request_cache_size:
         Capacity of the LRU request cache.  Primary-stage predictions
-        are memoised per ``(given, user, item, model_version)``; the
+        are memoised per ``(row key, user, item, model_version)``,
+        where the row key digests that user's given profile; the
         version in the key plus an explicit clear on model install
         means a snapshot reload can never serve stale values.  Only
         stage-0 results are cached (fallback answers reflect transient
@@ -395,8 +396,8 @@ class PredictionService:
         Returns the (possibly original) matrix and a per-user boolean
         flagging users whose profile was repaired.  Memoised on object
         identity: the common serving pattern re-sends one given matrix
-        for many batches, and preserving identity keeps the model's
-        per-user caches warm.
+        for many batches, and preserving identity lets every batch
+        reuse the cleaned matrix's memoised row keys.
         """
         with self._state_lock:
             memo = self._sanitize_memo
@@ -522,21 +523,25 @@ class PredictionService:
                 sanitized_req[valid_idx] = poisoned_users[users[valid_idx]]
 
             # --- request cache lookup ---------------------------------
-            # Keys are built from plain-int lists (one tolist() pass)
+            # Keys cover the requesting user's row content, so a write
+            # to one profile leaves every other user's entries warm.
+            # They are built from plain-int lists (one tolist() pass)
             # rather than per-element np scalar casts; on the hot path
             # the difference is measurable at batch sizes this small.
             cache = self._request_cache
-            gkey = ver = 0
-            u_list = i_list = None
+            miss_keys: dict[int, tuple] = {}
             if cache is not None:
-                gkey, ver = hash(cleaned), self.model_version
+                row_key, ver = cleaned.row_key, self.model_version
                 u_list = users.tolist()
                 i_list = items.tolist()
                 remaining = []
                 for ridx in valid_idx.tolist():
-                    val = cache.get((gkey, u_list[ridx], i_list[ridx], ver))
+                    u = u_list[ridx]
+                    key = (row_key(u), u, i_list[ridx], ver)
+                    val = cache.get(key)
                     if val is None:
                         remaining.append(ridx)
+                        miss_keys[ridx] = key
                     else:
                         predictions[ridx] = val
                         levels[ridx] = 0
@@ -561,7 +566,7 @@ class PredictionService:
                     levels[work_idx] = 0
                     if cache is not None:
                         for ridx, val in zip(work_idx.tolist(), fast.tolist()):
-                            cache.put((gkey, u_list[ridx], i_list[ridx], ver), val)
+                            cache.put(miss_keys[ridx], val)
                     work_idx = np.empty(0, dtype=np.intp)
             if work_idx.size:
                 w_users = users[work_idx]
@@ -589,10 +594,7 @@ class PredictionService:
                 levels[block] = level
                 if cache is not None and level == 0:
                     for ridx in block.tolist():
-                        cache.put(
-                            (gkey, u_list[ridx], i_list[ridx], ver),
-                            float(predictions[ridx]),
-                        )
+                        cache.put(miss_keys[ridx], float(predictions[ridx]))
 
         elapsed = self._clock() - t0
         n_deferred = int(deferred.sum()) if deadline_hit else 0

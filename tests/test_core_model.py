@@ -166,10 +166,8 @@ class TestParameterEffects:
         m = CFSF(n_clusters=8, top_m_items=30, top_k_users=10)
         m.fit(split_small.train)
         m.config = m.config.with_(lam=0.0, delta=0.0)
-        m._cache.clear()
         sir_only = m.predict_many(split_small.given, users, items)
         m.config = m.config.with_(lam=1.0, delta=0.0)
-        m._cache.clear()
         sur_only = m.predict_many(split_small.given, users, items)
         assert not np.allclose(sir_only, sur_only)
 

@@ -153,3 +153,32 @@ class TestProfiles:
         assert clone == tiny_rm
         assert hash(clone) == hash(tiny_rm)
         assert tiny_rm != "not a matrix" or True  # NotImplemented path
+
+
+class TestRowKey:
+    def test_equal_rows_share_keys_across_matrices(self, tiny_rm):
+        clone = RatingMatrix(tiny_rm.values.copy(), tiny_rm.mask.copy())
+        assert [clone.row_key(u) for u in range(4)] == [
+            tiny_rm.row_key(u) for u in range(4)
+        ]
+        assert len({tiny_rm.row_key(u) for u in range(4)}) == 4
+
+    def test_write_changes_only_the_written_row(self, tiny_rm):
+        written = tiny_rm.with_ratings([(3, 0, 4.0)])
+        assert written.row_key(3) != tiny_rm.row_key(3)
+        for u in range(3):
+            assert written.row_key(u) == tiny_rm.row_key(u)
+
+    def test_swap_within_row_changes_key_but_not_hash(self, tiny_rm):
+        vals = tiny_rm.values.copy()
+        vals[0, [0, 3]] = vals[0, [3, 0]]  # 5 and 2 trade places
+        swapped = RatingMatrix(vals, tiny_rm.mask.copy())
+        assert hash(swapped) == hash(tiny_rm) and swapped != tiny_rm
+        assert swapped.row_key(0) != tiny_rm.row_key(0)
+
+    def test_moving_a_rating_changes_key(self, tiny_rm):
+        moved = tiny_rm.without_ratings([(3, 2)]).with_ratings([(3, 1, 3.0)])
+        assert moved.row_key(3) != tiny_rm.row_key(3)
+
+    def test_memoised(self, tiny_rm):
+        assert tiny_rm.row_key(1) is tiny_rm.row_key(1)

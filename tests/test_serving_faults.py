@@ -213,6 +213,13 @@ class TestPoisonGiven:
         with pytest.raises(ValueError):
             poisoned.values[0, 0] = 3.0
 
+    def test_row_key_tracks_the_poisoned_row(self, split_small):
+        given = split_small.given
+        before = [given.row_key(u) for u in range(2)]
+        poisoned = poison_given(given, [(0, 0, float("nan"))])
+        assert poisoned.row_key(0) != before[0]
+        assert poisoned.row_key(1) == before[1]
+
     def test_constructor_would_have_rejected_it(self, split_small):
         poisoned = poison_given(split_small.given, [(0, 0, float("nan"))])
         with pytest.raises(ValueError):

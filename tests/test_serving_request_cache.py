@@ -1,6 +1,6 @@
 """Serving-layer request cache: hits, eviction, and reload invalidation.
 
-The LRU result cache keys on ``(given-hash, user, item, model_version)``;
+The LRU result cache keys on ``(row key, user, item, model_version)``;
 these tests pin the three behaviours the serving layer depends on:
 repeat requests are served from cache with identical values, capacity
 is bounded by LRU eviction, and a model reload can never serve a stale
