@@ -46,7 +46,7 @@ def test_ablation_pcc_vs_cosine_gis(benchmark, ml300_given10):
         pcc_mae = evaluate_fitted(model, split).mae
 
         model.gis = _cosine_gis(split.train)
-        model._cache.clear()
+        model.build_online_kernel()
         cos_mae = evaluate_fitted(model, split).mae
         return {"PCC GIS (Eq. 5)": pcc_mae, "cosine (VSS) GIS": cos_mae}
 
@@ -85,7 +85,7 @@ def test_ablation_alternate_measures(benchmark, ml300_given10):
         }
         for label, sim in measures.items():
             model.gis = _gis_from(sim)
-            model._cache.clear()
+            model.build_online_kernel()
             out[label] = evaluate_fitted(model, split).mae
         return out
 

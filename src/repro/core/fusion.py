@@ -191,7 +191,7 @@ class PreparedActiveUser:
     #: ``(K,)`` clamped (non-negative) Eq. 10 similarities of the top-K users.
     su: np.ndarray = field(repr=False)
     #: ``(K,)`` ``su² + 1e-300`` — the Eq. 13 denominator terms with the
-    #: exact-zero offset already baked in (see :meth:`FusionKernel._fuse_block`).
+    #: exact-zero offset already baked in (see :meth:`FusionKernel._fuse_pass`).
     su_sq: np.ndarray = field(repr=False)
     #: ``(Q, K)`` Eq. 11 weights of the top-K users, scaled by ``su``.
     wsu_cols: np.ndarray = field(repr=False)
@@ -227,23 +227,31 @@ class FusionKernel:
     """Batched evaluation of Eqs. 12–14 over stacked local matrices.
 
     The scalar path (:func:`fuse`) materialises one ``(K, M)`` local
-    matrix per request.  This kernel evaluates each active user's block
-    of requests at once: the three component predictors become
-    einsum-fused reductions over ``(R, M)``, ``(R, K)`` and
-    ``(R·M, K)`` stacks gathered from the user's prepared item-major
-    arrays.  Zero-padded neighbour slots carry *exactly* zero weight
-    (the Eq. 13 pair similarity is computed in an exact-zero
-    formulation), so padded cells are arithmetically identical to
-    exclusion and the batched results match the scalar path to float64
-    round-off.
+    matrix per request.  This kernel evaluates a whole ``fuse_many``
+    call in one stacked pass per top-K size: for each request it
+    gathers only the user-specific rows (the active profile at the
+    item's M neighbours, and the top-K users' item-major rows at the
+    item and its neighbours) into kernel-owned ``(R, M)``, ``(R, K)``
+    and ``(R, M, K)`` stacks, then the three component predictors
+    become einsum-fused reductions over all R·M·K cells at once, so
+    the fixed per-call NumPy overhead is paid once per pass rather
+    than once per active user.  Zero-padded neighbour slots carry
+    *exactly* zero weight (the Eq. 13 pair similarity is computed in
+    an exact-zero formulation), so padded cells are arithmetically
+    identical to exclusion and the batched results match the scalar
+    path to float64 round-off.
 
     The kernel holds three extra ``(P, Q)`` float64 matrices (the
     global Eq. 11 weights, the mean-centred ratings, and the
     item-mean-adjusted SUIR' deviations) — the same O(P·Q) footprint
     class as the dense smoothed matrix they derive from.
 
-    Requests are processed in chunks bounded by ``chunk_elems`` stacked
-    elements so temporary memory stays flat regardless of batch size.
+    A pass holds at most ``chunk_elems`` stacked R·M·K elements, so
+    temporary memory stays flat regardless of batch size.  The default
+    keeps each ``(R, M, K)`` workspace at a few MiB: larger passes
+    stream from memory instead of cache and measurably slow down
+    evaluation-sized batches, while a 64-request serving batch
+    (64 × 95 × 25 cells) still fits in one pass.
     """
 
     def __init__(
@@ -257,7 +265,7 @@ class FusionKernel:
         delta: float,
         epsilon: float,
         adjust_biases: bool = True,
-        chunk_elems: int = 2_000_000,
+        chunk_elems: int = 500_000,
     ) -> None:
         check_fraction(epsilon, "epsilon")
         self.w_sir, self.w_sur, self.w_suir = fusion_weights(lam, delta)
@@ -280,7 +288,7 @@ class FusionKernel:
             self._suir_matrix = self._dev_matrix - self._imean_dev[None, :]
         else:
             self._suir_matrix = self._values
-        # Reusable per-block workspaces (the three largest temporaries:
+        # Reusable per-pass workspaces (the three largest temporaries:
         # the Eq. 13 pair weights and the gathered user-column stacks).
         # Fresh >=128 KiB allocations tend to come from fresh mmap pages,
         # whose first-touch page faults show up directly in serving
@@ -448,51 +456,100 @@ class FusionKernel:
 
         ``blocks`` is a sequence of ``(prepared, item_indices)`` pairs;
         the return value concatenates the per-block predictions in
-        order.  Oversized blocks are split so each stacked evaluation
-        stays under ``chunk_elems`` elements.
+        order.  Blocks are grouped by their top-K size ``k`` and each
+        group is evaluated in stacked passes of at most ``chunk_elems``
+        R·M·K elements (at least one request).  Within a group every
+        request's reductions have the same length as when it is fused
+        alone, so a request's value does not depend on which others
+        share its pass.
         """
-        pieces: list[tuple[PreparedActiveUser, np.ndarray]] = []
+        groups: dict[int, list[tuple[PreparedActiveUser, np.ndarray, int]]] = {}
+        total = 0
         for prep, items in blocks:
             arr = np.asarray(items, dtype=np.intp)
             if arr.size:
-                pieces.append((prep, arr))
-        total = sum(arr.size for _, arr in pieces)
+                groups.setdefault(prep.k, []).append((prep, arr, total))
+                total += arr.size
         out = np.empty(total, dtype=np.float64)
-        if not total:
-            return out
         M = max(self.cache.m, 1)
         budget = max(self.chunk_elems, M)
-        pos = 0
-        for prep, items in pieces:
-            cap = max(1, budget // (max(prep.k, 1) * M))
-            for start in range(0, items.size, cap):
-                sub = items[start : start + cap]
-                self._fuse_block(prep, sub, out[pos : pos + sub.size])
-                pos += sub.size
+        for k, pieces in groups.items():
+            cap = max(1, budget // (max(k, 1) * M))
+            segs: list[tuple[PreparedActiveUser, np.ndarray, int]] = []
+            n = 0
+            for prep, items, at in pieces:
+                start = 0
+                while start < items.size:
+                    take = min(cap - n, items.size - start)
+                    segs.append((prep, items[start : start + take], at + start))
+                    start += take
+                    n += take
+                    if n == cap:
+                        self._fuse_pass(k, segs, out)
+                        segs, n = [], 0
+            if segs:
+                self._fuse_pass(k, segs, out)
         return out
 
-    def _fuse_block(
-        self, prep: PreparedActiveUser, q: np.ndarray, out: np.ndarray
+    def _fuse_pass(
+        self,
+        K: int,
+        segs: list[tuple[PreparedActiveUser, np.ndarray, int]],
+        out: np.ndarray,
     ) -> None:
-        """Evaluate one active user's block of requests into ``out``."""
-        R = q.size
+        """Evaluate requests of top-``K`` users in one stacked pass.
+
+        ``segs`` holds ``(prepared, items, out_offset)`` runs.  Only the
+        user-specific rows are gathered per run; Eqs. 12–14 then run
+        once over the whole ``(R, M, K)`` stack.
+        """
         M = self.cache.m
-        K = prep.k
-        mean = prep.mean
+        adjust = self.adjust_biases
+        q = segs[0][1] if len(segs) == 1 else np.concatenate([s[1] for s in segs])
+        R = q.size
         # All gathers below use np.take(..., mode="clip"): the indices
         # are kernel-built (neighbour cache rows and validated request
         # items, always within range), and skipping numpy's bounds-check
         # pass makes the gathers measurably cheaper.
         nbr = self.cache.indices[q]                  # (R, M) int32, zero-padded
         si = self.cache.sims[q]                      # (R, M) float64, >= 0
-        si_sq = self.cache.sims_sq[q]
-        flat = nbr.ravel()
-        adjust = self.adjust_biases
+        sir_w = np.empty((R, M), dtype=np.float64)
+        pdev = np.empty((R, M), dtype=np.float64)
+        mean = np.empty(R, dtype=np.float64)
+        if K:
+            need = R * M * K
+            if self._pair_scratch.size < need:
+                self._pair_scratch = np.empty(need, dtype=np.float64)
+                self._wg_scratch = np.empty(need, dtype=np.float64)
+                self._dg_scratch = np.empty(need, dtype=np.float64)
+            Wg = self._wg_scratch[:need].reshape(R, M, K)
+            Dg = self._dg_scratch[:need].reshape(R, M, K)
+            w_col = np.empty((R, K), dtype=np.float64)
+            d_col = np.empty((R, K), dtype=np.float64)
+            su_sq = np.empty((R, K), dtype=np.float64)
+        row = 0
+        for prep, items, _ in segs:
+            end = row + items.size
+            rows = nbr[row:end]
+            np.take(prep.w_row, rows, mode="clip", out=sir_w[row:end])
+            np.take(prep.profile_sir, rows, mode="clip", out=pdev[row:end])
+            mean[row:end] = prep.mean
+            if K:
+                np.take(prep.wsu_cols, items, axis=0, mode="clip", out=w_col[row:end])
+                np.take(
+                    prep.suir_cols if adjust else prep.dev_cols,
+                    items,
+                    axis=0,
+                    mode="clip",
+                    out=d_col[row:end],
+                )
+                np.take(prep.wsu_cols, rows, axis=0, mode="clip", out=Wg[row:end])
+                np.take(prep.suir_cols, rows, axis=0, mode="clip", out=Dg[row:end])
+                su_sq[row:end] = prep.su_sq
+            row = end
 
         # --- SIR': active-user ratings on each request's neighbours ---
-        sir_w = np.take(prep.w_row, flat, mode="clip").reshape(R, M)
         sir_w *= si
-        pdev = np.take(prep.profile_sir, flat, mode="clip").reshape(R, M)
         sir_den = sir_w.sum(axis=1)
         sir_num = np.einsum("rm,rm->r", sir_w, pdev)
         ok = sir_den > 0.0
@@ -501,67 +558,53 @@ class FusionKernel:
             sir = np.where(ok, self.item_means[q] + sir_num / safe, mean)
         else:
             sir = np.where(ok, sir_num / safe, mean)
+        res = np.multiply(sir, self.w_sir)
 
         if not K:
-            np.multiply(sir, self.w_sir, out=out)
-            out += (self.w_sur + self.w_suir) * mean
-            return
-
-        # --- SUR': top-K users' ratings on the active item --------------
-        # wsu_cols already carries the su factor; when adjust_biases the
-        # deviation source is item-mean-shifted, which the constant
-        # imean_dev[q] term undoes after the weighted average.
-        w_col = np.take(prep.wsu_cols, q, axis=0, mode="clip")       # (R, K)
-        d_col = np.take(
-            prep.suir_cols if prep.dev_cols is None else prep.dev_cols,
-            q,
-            axis=0,
-            mode="clip",
-        )
-        sur_den = w_col.sum(axis=1)
-        sur_num = np.einsum("rk,rk->r", w_col, d_col)
-        ok = sur_den > 0.0
-        safe = np.where(ok, sur_den, 1.0)
-        if prep.dev_cols is None:
-            sur = np.where(ok, mean + self._imean_dev[q] + sur_num / safe, mean)
+            res += (self.w_sur + self.w_suir) * mean
         else:
-            sur = np.where(ok, mean + sur_num / safe, mean)
+            # --- SUR': top-K users' ratings on the active item ----------
+            # wsu_cols already carries the su factor; when adjust_biases
+            # the deviation source is item-mean-shifted, which the
+            # imean_dev[q] term undoes after the weighted average.
+            sur_den = w_col.sum(axis=1)
+            sur_num = np.einsum("rk,rk->r", w_col, d_col)
+            ok = sur_den > 0.0
+            safe = np.where(ok, sur_den, 1.0)
+            if adjust:
+                imean_dev = self._imean_dev[q]
+                sur = np.where(ok, mean + imean_dev + sur_num / safe, mean)
+            else:
+                sur = np.where(ok, mean + sur_num / safe, mean)
 
-        # --- SUIR': every (neighbour item, top-K user) cell -------------
-        need = R * M * K
-        if self._pair_scratch.size < need:
-            self._pair_scratch = np.empty(need, dtype=np.float64)
-            self._wg_scratch = np.empty(need, dtype=np.float64)
-            self._dg_scratch = np.empty(need, dtype=np.float64)
-        Wg = np.take(
-            prep.wsu_cols, flat, axis=0, mode="clip",
-            out=self._wg_scratch[:need].reshape(R * M, K),
-        )
-        Dg = np.take(
-            prep.suir_cols, flat, axis=0, mode="clip",
-            out=self._dg_scratch[:need].reshape(R * M, K),
-        )
-        # Eq. 13 in an exact-zero form: the tiny offset keeps the
-        # denominator away from 0 without perturbing any real value,
-        # and si/den is exactly 0 whenever si is 0 (incl. zero-padded
-        # cells) while wsu_cols is exactly 0 wherever su is 0 — so the
-        # den > 0 fallback below matches the scalar path's branch.
-        pair = self._pair_scratch[:need].reshape(R * M, K)
-        np.add(prep.su_sq, si_sq.reshape(R * M, 1), out=pair)
-        np.sqrt(pair, out=pair)
-        np.divide(si.reshape(R * M, 1), pair, out=pair)
-        pair *= Wg                                   # T = pair-sim · su · weight
-        suir_den = pair.reshape(R, M * K).sum(axis=1)
-        # The item-mean correction lives in suir_cols, so the whole
-        # numerator is one two-operand contraction against T.
-        num = np.einsum("nk,nk->n", pair, Dg).reshape(R, M).sum(axis=1)
-        ok = suir_den > 0.0
-        safe = np.where(ok, suir_den, 1.0)
-        if adjust:
-            suir = np.where(ok, mean + self._imean_dev[q] + num / safe, mean)
-        else:
-            suir = np.where(ok, num / safe, mean)
+            # --- SUIR': every (neighbour item, top-K user) cell ---------
+            # Eq. 13 in an exact-zero form: the tiny offset in su_sq
+            # keeps the denominator away from 0 without perturbing any
+            # real value, and si/den is exactly 0 whenever si is 0
+            # (incl. zero-padded cells) while wsu_cols is exactly 0
+            # wherever su is 0 — so the den > 0 fallback below matches
+            # the scalar path's branch.
+            pair = self._pair_scratch[:need].reshape(R, M, K)
+            np.add(su_sq[:, None, :], self.cache.sims_sq[q][:, :, None], out=pair)
+            np.sqrt(pair, out=pair)
+            np.divide(si[:, :, None], pair, out=pair)
+            pair *= Wg                               # T = pair-sim · su · weight
+            suir_den = pair.reshape(R, M * K).sum(axis=1)
+            # The item-mean correction lives in suir_cols, so the whole
+            # numerator is one two-operand contraction against T.
+            num = np.einsum(
+                "nk,nk->n", pair.reshape(R * M, K), Dg.reshape(R * M, K)
+            ).reshape(R, M).sum(axis=1)
+            ok = suir_den > 0.0
+            safe = np.where(ok, suir_den, 1.0)
+            if adjust:
+                suir = np.where(ok, mean + imean_dev + num / safe, mean)
+            else:
+                suir = np.where(ok, num / safe, mean)
+            res += self.w_sur * sur
+            res += self.w_suir * suir
 
-        np.multiply(sir, self.w_sir, out=out)
-        out += self.w_sur * sur
-        out += self.w_suir * suir
+        row = 0
+        for _, items, at in segs:
+            out[at : at + items.size] = res[row : row + items.size]
+            row += items.size

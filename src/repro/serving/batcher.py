@@ -8,11 +8,15 @@ over shared read-only state (cf. Lucene-backed memory CF); this module
 adds the missing front:
 
 * :class:`MicroBatcher` accepts requests from any number of caller
-  threads, holds them for at most ``max_wait_us`` microseconds (or
-  until ``max_batch_size`` accumulate), then dispatches the coalesced
-  batch — **user-sorted**, so :meth:`CFSF.predict_many` hits its
-  sorted fast path and same-user requests share one prepared state —
-  through the owning :class:`~repro.serving.service.PredictionService`.
+  threads and dispatches them as coalesced batches — **user-sorted**,
+  so :meth:`CFSF.predict_many` hits its sorted fast path and
+  same-user requests share one prepared state — through the owning
+  :class:`~repro.serving.service.PredictionService`.  It holds
+  requests back only while one of its batches is in flight (Nagle's
+  rule, RFC 896): an idle batcher dispatches whatever is queued at
+  once, and during a dispatch later requests wait at most
+  ``max_wait_us`` microseconds (or until ``max_batch_size``
+  accumulate) for companions.
 * Each dispatch borrows a private kernel clone from a
   :class:`~repro.serving.pool.KernelPool`, so concurrent dispatches
   never share the non-re-entrant fusion scratch buffers.
@@ -99,11 +103,12 @@ class MicroBatcher:
     max_batch_size:
         Most requests dispatched per batch.
     max_wait_us:
-        Longest a request waits (microseconds) for companions before
-        its batch dispatches anyway.  The knob trades tail latency for
-        coalescing: 0 dispatches immediately (batching only what is
-        already queued), larger values build bigger batches under
-        bursty load.
+        Longest a request waits (microseconds) for companions while
+        another batch of this batcher is in flight; with nothing in
+        flight, queued requests dispatch at once.  The knob trades
+        tail latency for coalescing under load: 0 dispatches
+        immediately (batching only what is already queued), larger
+        values let a saturated queue build bigger batches.
     max_queue:
         Admission bound on pending requests (see *overload_policy*).
     workers:
@@ -182,6 +187,7 @@ class MicroBatcher:
         self._cond = threading.Condition()
         self._queue: deque[_Pending] = deque()
         self._closed = False
+        self._in_flight = 0  # batches popped and not yet answered
         self.dispatched_batches = 0
         self.dispatched_requests = 0
         self.shed_total = 0
@@ -263,7 +269,12 @@ class MicroBatcher:
     # Dispatch workers
     # ------------------------------------------------------------------
     def _collect(self) -> list[_Pending] | None:
-        """Block until a batch is ready; ``None`` means shut down."""
+        """Block until a batch is ready; ``None`` means shut down.
+
+        A batch is ready at once when nothing is in flight; otherwise
+        when it is full, its head has waited ``max_wait``, or the
+        batcher is closing.
+        """
         with self._cond:
             while True:
                 if not self._queue:
@@ -275,10 +286,12 @@ class MicroBatcher:
                 now = self._clock()
                 deadline = head.enqueued_at + self.max_wait
                 if (
-                    len(self._queue) >= self.max_batch_size
+                    not self._in_flight
+                    or len(self._queue) >= self.max_batch_size
                     or self._closed
                     or now >= deadline
                 ):
+                    self._in_flight += 1
                     return self._pop_batch_locked()
                 # Condition.wait runs on real time; self._clock only
                 # stamps bookkeeping.  An injected manual clock makes
@@ -358,7 +371,14 @@ class MicroBatcher:
             batch = self._collect()
             if batch is None:
                 return
-            self._dispatch(batch)
+            try:
+                self._dispatch(batch)
+            finally:
+                with self._cond:
+                    self._in_flight -= 1
+                    # A dispatch that raises ends this thread, so wake a
+                    # worker holding back for companions to take over.
+                    self._cond.notify()
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

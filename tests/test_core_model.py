@@ -159,6 +159,30 @@ class TestCaching:
         p2 = m.predict(altered, 0, 5)
         assert p1 != p2
 
+    def test_gis_swap_with_kernel_rebuild_matches_a_fit(self, split_small, monkeypatch):
+        """Swapping ``model.gis`` then calling build_online_kernel()
+        serves the new GIS exactly as a model fitted with it does (the
+        GIS ablation benchmarks rely on this).  Clearing the per-user
+        cache alone would keep the old GIS's neighbour cache."""
+        from repro.core import model as model_module
+        from repro.core.gis import build_gis
+
+        users, items, _ = split_small.targets_arrays()
+        other_gis = build_gis(split_small.train, centering="corated_mean")
+        geometry = dict(n_clusters=8, top_m_items=30, top_k_users=10)
+        monkeypatch.setattr(model_module, "build_gis", lambda train, **kw: other_gis)
+        fitted_with_other = CFSF(**geometry).fit(split_small.train)
+        monkeypatch.undo()
+        expected = fitted_with_other.predict_many(split_small.given, users, items)
+
+        model = CFSF(**geometry).fit(split_small.train)
+        before = model.predict_many(split_small.given, users, items)
+        assert not np.array_equal(before, expected)  # the swap is visible
+        model.gis = other_gis
+        model.build_online_kernel()
+        got = model.predict_many(split_small.given, users, items)
+        np.testing.assert_array_equal(got, expected)
+
 
 class TestParameterEffects:
     def test_lambda_extremes_differ(self, split_small):

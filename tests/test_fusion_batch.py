@@ -137,3 +137,35 @@ def test_fuse_many_empty_and_zero_k(fitted):
     out = kernel.fuse_many([(prep, np.arange(5, dtype=np.intp))])
     assert out.shape == (5,)
     assert np.isfinite(out).all()
+
+    # One call mixing full-k users, a reduced-k user, a k = 0 user and
+    # an empty block: every request must equal fusing it alone, bit
+    # for bit, whichever requests share its stacked pass.
+    all_users = np.unique(split.targets_arrays()[0])
+    states = [model.active_user_state(split.given, int(u)) for u in all_users[:4]]
+
+    def reduced(state, k):
+        return kernel.prepare_user(
+            state.top_k.users[:k],
+            state.top_k.similarities[:k],
+            state.profile,
+            state.observed,
+            state.mean,
+        )
+
+    rng = np.random.default_rng(5)
+    preps = [
+        states[0].prepared,
+        reduced(states[1], 3),
+        states[2].prepared,
+        reduced(states[3], 0),
+        states[1].prepared,
+        states[3].prepared,
+    ]
+    assert {p.k for p in preps} >= {0, 3, states[0].prepared.k}
+    blocks = [(p, rng.integers(0, q_n, size=n)) for p, n in zip(preps, (3, 2, 0, 4, 1, 5))]
+    mixed = kernel.fuse_many(blocks)
+    alone = [
+        kernel.fuse_many([(p, np.array([item]))])[0] for p, items in blocks for item in items
+    ]
+    np.testing.assert_array_equal(mixed, np.array(alone))

@@ -3,14 +3,16 @@
 The batcher must be an *invisible* optimisation: every answer it
 returns has to match what a direct ``PredictionService`` call would
 have said, whatever the interleaving.  On top of that these tests pin
-the contracts that make it operable — deterministic coalescing at the
-batch-size threshold, the two overload policies, and a clean drain on
-close.
+the contracts that make it operable — an idle batcher dispatches at
+once, coalescing while a batch is in flight, the two overload
+policies, and a clean drain on close.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -90,47 +92,107 @@ def test_concurrent_submitters_all_get_right_answers(service, split_small, strea
     assert stats["dispatched_requests"] == per * n_threads
 
 
-def test_coalesces_at_batch_size_threshold(service, split_small, stream):
-    """With a long max_wait, exactly max_batch_size submits = one batch."""
+@pytest.mark.stress
+def test_in_flight_count_survives_concurrent_dispatch(service, split_small, stream):
+    """More workers than cores, thread switches every 10 µs: once every
+    answer is in, no batch may still count as in flight, or a lone
+    request would sit out the 2 s max_wait."""
     users, items = stream
-    batch = 8
-    with MicroBatcher(
-        service, workers=1, max_batch_size=batch, max_wait_us=2_000_000.0
-    ) as batcher:
-        futures = [
-            batcher.submit(split_small.given, int(users[i]), int(items[i]))
-            for i in range(batch)
-        ]
-        for future in futures:
-            future.result(timeout=30)
-        stats = batcher.stats()
-    assert stats["dispatched_batches"] == 1
-    assert stats["mean_batch_size"] == batch
+    n_threads = 8
+    barrier = threading.Barrier(n_threads)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MicroBatcher(
+            service, workers=4, max_batch_size=n_threads, max_wait_us=2_000_000.0
+        ) as batcher:
+
+            def client(t):
+                barrier.wait()
+                for idx in range(t, users.size, n_threads):
+                    batcher.submit(
+                        split_small.given, int(users[idx]), int(items[idx])
+                    ).result(timeout=30)
+
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert batcher.stats()["dispatched_requests"] == users.size
+            started = time.monotonic()
+            batcher.submit(split_small.given, int(users[0]), int(items[0])).result(timeout=30)
+            assert time.monotonic() - started < 0.5
+    finally:
+        sys.setswitchinterval(old_interval)
 
 
-def _stalled_batcher(service, **kwargs):
-    """A batcher whose single dispatch worker is parked on an empty pool.
+def _stalled_batcher(service, workers=1, **kwargs):
+    """A batcher whose dispatches park on an empty one-kernel pool.
 
-    Checking out the only kernel ourselves means the worker blocks in
-    ``pool.checkout()`` — deterministic back-pressure for the
-    admission-control tests.  Returns (batcher, release_callable).
+    Checking out the only kernel ourselves means every dispatch blocks
+    in ``pool.checkout()`` — a batch held in flight on demand, for
+    deterministic back-pressure.  Returns (batcher, release_callable).
     """
     pool = KernelPool(service.model.kernel, max_workers=1)
     hold = pool.checkout()
     hold.__enter__()
-    batcher = MicroBatcher(service, workers=1, pool=pool, **kwargs)
+    batcher = MicroBatcher(service, workers=workers, pool=pool, **kwargs)
     return batcher, lambda: hold.__exit__(None, None, None)
 
 
 def _wait_until(predicate, timeout=5.0):
-    import time
-
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         if predicate():
             return True
         time.sleep(0.001)
     return False
+
+
+def test_idle_batcher_dispatches_a_lone_request_at_once(service, split_small, stream):
+    """max_wait only holds requests back while a batch is in flight."""
+    users, items = stream
+    with MicroBatcher(service, workers=1, max_wait_us=2_000_000.0) as batcher:
+        started = time.monotonic()
+        batcher.submit(split_small.given, int(users[0]), int(items[0])).result(timeout=30)
+        elapsed = time.monotonic() - started
+    assert elapsed < 0.5
+
+
+def test_coalesces_at_batch_size_threshold(service, split_small, stream):
+    """While a batch is in flight, submits coalesce until max_batch_size."""
+    users, items = stream
+    batch = 8
+    batcher, release = _stalled_batcher(
+        service, workers=2, max_batch_size=batch, max_wait_us=2_000_000.0
+    )
+    try:
+        first = batcher.submit(split_small.given, int(users[0]), int(items[0]))
+        # The idle batcher pops the lone request at once; its dispatch
+        # then parks on the pool, so one batch is in flight.
+        assert _wait_until(lambda: batcher.queue_depth == 0)
+        futures = [
+            batcher.submit(split_small.given, int(users[i]), int(items[i]))
+            for i in range(1, batch)
+        ]
+        # The second worker is free but holds the short batch back.
+        time.sleep(0.05)
+        assert batcher.queue_depth == batch - 1
+        futures.append(
+            batcher.submit(split_small.given, int(users[batch]), int(items[batch]))
+        )
+        # A full batch goes without waiting out max_wait.
+        assert _wait_until(lambda: batcher.queue_depth == 0)
+    finally:
+        release()
+    for future in [first, *futures]:
+        future.result(timeout=30)
+    stats = batcher.stats()
+    batcher.close()
+    assert stats["dispatched_batches"] == 2
+    assert stats["dispatched_requests"] == batch + 1
 
 
 def test_overload_policy_raise(service, split_small, stream):
@@ -179,14 +241,29 @@ def test_overload_policy_shed_answers_degraded(service, split_small, stream):
 
 def test_close_drains_pending_requests(service, split_small, stream):
     users, items = stream
-    batcher = MicroBatcher(service, workers=1, max_wait_us=2_000_000.0, max_batch_size=512)
-    futures = [
-        batcher.submit(split_small.given, int(u), int(i))
-        for u, i in zip(users[:16], items[:16])
-    ]
-    # max_wait is 2s and the batch is far from full: nothing would
-    # dispatch yet.  close() must flush the queue, not abandon it.
-    batcher.close(timeout=30)
+    batcher, release = _stalled_batcher(
+        service, workers=2, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head = batcher.submit(split_small.given, int(users[0]), int(items[0]))
+        assert _wait_until(lambda: batcher.queue_depth == 0)  # in flight
+        futures = [
+            batcher.submit(split_small.given, int(u), int(i))
+            for u, i in zip(users[1:17], items[1:17])
+        ]
+        # A batch is in flight, max_wait is 2s and the batch is far
+        # from full: nothing would dispatch yet.
+        time.sleep(0.05)
+        assert batcher.queue_depth == 16
+        # close() must flush the queue, not abandon it.
+        closer = threading.Thread(target=batcher.close, kwargs={"timeout": 30})
+        closer.start()
+        assert _wait_until(lambda: batcher.queue_depth == 0)
+    finally:
+        release()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
+    futures.append(head)
     assert all(future.done() for future in futures)
     assert all(np.isfinite(future.result().value) for future in futures)
 
@@ -208,11 +285,18 @@ def test_dispatch_failure_reaches_every_caller(service, split_small, stream):
         def predict_many(self, *args, **kwargs):
             raise RuntimeError("induced dispatch fault")
 
-    batcher = MicroBatcher(_BrokenService(), workers=1, max_wait_us=0.0)
+    batcher = MicroBatcher(_BrokenService(), workers=1, max_wait_us=2_000_000.0)
     try:
         future = batcher.submit(split_small.given, int(users[0]), int(items[0]))
         with pytest.raises(RuntimeError, match="induced dispatch fault"):
             future.result(timeout=30)
+        # The failed batch no longer counts as in flight: with a 2 s
+        # max_wait, a later lone submit still dispatches at once.
+        started = time.monotonic()
+        later = batcher.submit(split_small.given, int(users[1]), int(items[1]))
+        with pytest.raises(RuntimeError, match="induced dispatch fault"):
+            later.result(timeout=30)
+        assert time.monotonic() - started < 0.5
     finally:
         batcher.close()
 
