@@ -36,7 +36,6 @@ backoff behaviour is deterministic under test (see
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -44,7 +43,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.data.matrix import RatingMatrix
-from repro.obs import get_registry
+from repro.obs import Counter, MetricsRegistry, NullRegistry, get_registry
 from repro.serving.breaker import CircuitBreaker
 from repro.serving.errors import (
     InvalidRequestError,
@@ -55,8 +54,10 @@ from repro.utils.cache import LRUCache
 
 __all__ = ["PredictionService", "ServingResult", "StageFailure"]
 
-#: Cap on per-result error diagnostics (a melting stage must not make
-#: every response carry an unbounded error list).
+#: Cap on the stage failures one call records in its result: a stage
+#: that fails on every per-user block must not make the response carry
+#: an unbounded error list.  The breakers and ``serving.stage.failures``
+#: still see every failure.
 _MAX_ERRORS_PER_CALL = 32
 
 
@@ -114,9 +115,13 @@ class ServingResult:
 
 @dataclass
 class _Stage:
+    """One link of the chain, with its breaker and metric handles."""
+
     name: str
     fn: Callable[[RatingMatrix, np.ndarray, np.ndarray], np.ndarray]
-    infallible: bool = False
+    breaker: CircuitBreaker
+    served: Counter  # serving.fallback{stage=name}
+    failures: Counter  # serving.stage.failures{stage=name}
 
 
 class PredictionService:
@@ -154,12 +159,14 @@ class PredictionService:
         Injectable time sources (see :class:`~repro.serving.faults.
         ManualClock`).
     metrics:
-        A :class:`~repro.obs.MetricsRegistry` to record request
-        counts, latency histograms, per-stage fallback counters, and
-        breaker transitions into.  Defaults to the ambient registry
-        (:func:`repro.obs.get_registry`), which is the no-op
-        :data:`~repro.obs.NULL_REGISTRY` unless observability was
-        opted into — so the hot path pays one attribute check.
+        The :class:`~repro.obs.MetricsRegistry` that holds the
+        service's counters (requests, per-stage fallbacks and
+        failures, cache hits, reloads), its latency histogram and its
+        breakers' transitions.  It is the only store: :meth:`health`
+        reads its totals from it.  Defaults to the ambient registry
+        (:func:`repro.obs.get_registry`).  When that is the no-op
+        :class:`~repro.obs.NullRegistry`, the service counts into a
+        private registry of its own instead.
 
     Examples
     --------
@@ -193,7 +200,8 @@ class PredictionService:
         sleep: Callable[[float], None] = time.sleep,
         metrics=None,
     ) -> None:
-        self.metrics = get_registry() if metrics is None else metrics
+        registry = get_registry() if metrics is None else metrics
+        self.metrics = MetricsRegistry() if isinstance(registry, NullRegistry) else registry
         self.snapshot_path = snapshot_path
         self.strict = bool(strict)
         self.reload_retries = reload_retries
@@ -209,33 +217,28 @@ class PredictionService:
         )
         self._breaker_seed = breaker_seed
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._sanitize_memo: tuple[int, RatingMatrix, np.ndarray] | None = None
-        # Guards the cumulative operational counters and the sanitize
-        # memo.  The obs registry and the request LRU carry their own
-        # locks; the bare `self.x_total += n` updates below do not —
-        # under the concurrent serving front two dispatch threads
-        # read-modify-write the same int and lose increments.  The
-        # critical sections are a handful of int adds, so one mutex
-        # (not striping) is measurably contention-free at batch
-        # granularity.
-        self._state_lock = threading.Lock()
+        # (source given, cleaned given, poisoned users), replaced whole
+        # in one assignment so concurrent readers need no lock.  Two
+        # threads meeting a new given may both clean it; the results
+        # are equal, so the later write winning is harmless.
+        self._sanitize_memo: tuple[RatingMatrix, RatingMatrix, np.ndarray] | None = None
         self._request_cache: LRUCache | None = (
             LRUCache(maxsize=request_cache_size) if request_cache_size > 0 else None
         )
         # Per-call metric handles, resolved once: registry lookups are
-        # dict ops, but they sit on the per-batch hot path.
-        self._m_requests = self.metrics.counter("serving.requests")
-        self._m_latency = self.metrics.histogram("serving.request.latency")
+        # dict ops, but they sit on the per-batch hot path.  The
+        # per-stage handles live on each _Stage.
+        reg = self.metrics
+        self._m_requests = reg.counter("serving.requests")
+        self._m_latency = reg.histogram("serving.request.latency")
+        self._m_invalid = reg.counter("serving.invalid")
+        self._m_sanitized = reg.counter("serving.sanitized")
+        self._m_deferred = reg.counter("serving.deadline.deferred")
+        self._m_degraded = reg.counter("serving.degraded")
+        self._m_cache_hits = reg.counter("serving.cache.hits")
+        self._m_cache_misses = reg.counter("serving.cache.misses")
 
-        # Cumulative operational counters.
-        self.requests_total = 0
-        self.deadline_deferred_total = 0
-        self.invalid_total = 0
-        self.sanitized_total = 0
-        self.degraded_total = 0
         self.model_version = 0
-        self.reloads_ok = 0
-        self.reloads_failed = 0
         self.last_reload_error: Exception | None = None
 
         self.model = None
@@ -264,16 +267,29 @@ class PredictionService:
         self._n_items = train.n_items
         self._scale = train.rating_scale
         self._global_mean = float(train.global_mean())
-        self._stages = self._build_stages(model)
-        for idx, stage in enumerate(self._stages):
-            if stage.name not in self._breakers:
-                self._breakers[stage.name] = CircuitBreaker(
-                    stage.name,
+        reg = self.metrics
+        stages = []
+        for idx, (name, fn) in enumerate(self._build_stages(model)):
+            if name not in self._breakers:
+                self._breakers[name] = CircuitBreaker(
+                    name,
                     clock=self._clock,
                     rng=self._breaker_seed + idx,
-                    metrics=self.metrics,
+                    metrics=reg,
                     **self._breaker_kwargs,
                 )
+            stages.append(_Stage(
+                name,
+                fn,
+                self._breakers[name],
+                reg.counter("serving.fallback", stage=name),
+                reg.counter("serving.stage.failures", stage=name),
+            ))
+        self._stages = stages
+        #: Names of the chain's stages, primary first.
+        self.stage_names = tuple(stage.name for stage in stages)
+        # Deadline-deferred requests are served by the user-mean stage.
+        self._deadline_level = self.stage_names.index("user_mean")
         self.model_version += 1
         self._sanitize_memo = None
         # The version is part of every cache key, so old entries can
@@ -281,11 +297,12 @@ class PredictionService:
         if self._request_cache is not None:
             self._request_cache.clear()
 
-    def _build_stages(self, model) -> list[_Stage]:
+    def _build_stages(self, model) -> list[tuple[str, Callable]]:
+        """The chain's ``(name, predict_many)`` pairs, primary first."""
         lo, hi = self._scale
         gmean = self._global_mean
 
-        stages = [_Stage(str(model.name), model.predict_many)]
+        stages = [(str(model.name), model.predict_many)]
 
         gis = getattr(model, "gis", None)
         if gis is not None:
@@ -314,7 +331,7 @@ class PredictionService:
                     )
                 return np.clip(out, lo, hi)
 
-            stages.append(_Stage("item_knn", item_knn))
+            stages.append(("item_knn", item_knn))
 
         def user_mean(given: RatingMatrix, users: np.ndarray, items: np.ndarray) -> np.ndarray:
             return np.clip(given.user_means(fill=gmean)[users], lo, hi)
@@ -322,14 +339,9 @@ class PredictionService:
         def global_mean(given: RatingMatrix, users: np.ndarray, items: np.ndarray) -> np.ndarray:
             return np.full(users.size, gmean)
 
-        stages.append(_Stage("user_mean", user_mean, infallible=True))
-        stages.append(_Stage("global_mean", global_mean, infallible=True))
+        stages.append(("user_mean", user_mean))
+        stages.append(("global_mean", global_mean))
         return stages
-
-    @property
-    def stage_names(self) -> tuple[str, ...]:
-        """Names of the chain's stages, primary first."""
-        return tuple(stage.name for stage in self._stages)
 
     # ------------------------------------------------------------------
     # Snapshot reload
@@ -367,9 +379,7 @@ class PredictionService:
             raise ValueError("no snapshot path given and none configured")
         loaded = self._load_snapshot(target)
         if loaded is None:
-            self.reloads_failed += 1
-            if self.metrics.enabled:
-                self.metrics.counter("serving.reload.failed").inc()
+            self.metrics.counter("serving.reload.failed").inc()
             if self.model is None:  # pragma: no cover - constructor guards this
                 raise ModelUnavailableError(
                     f"snapshot {target!r} unusable and no last-known-good model"
@@ -378,13 +388,9 @@ class PredictionService:
         try:
             self._install_model(loaded)
         except ModelUnavailableError:
-            self.reloads_failed += 1
-            if self.metrics.enabled:
-                self.metrics.counter("serving.reload.failed").inc()
+            self.metrics.counter("serving.reload.failed").inc()
             return False
-        self.reloads_ok += 1
-        if self.metrics.enabled:
-            self.metrics.counter("serving.reload.ok").inc()
+        self.metrics.counter("serving.reload.ok").inc()
         return True
 
     # ------------------------------------------------------------------
@@ -397,11 +403,11 @@ class PredictionService:
         flagging users whose profile was repaired.  Memoised on object
         identity: the common serving pattern re-sends one given matrix
         for many batches, and preserving identity lets every batch
-        reuse the cleaned matrix's memoised row keys.
+        reuse the cleaned matrix's memoised row keys.  The memo holds
+        the source itself, so its identity cannot be recycled.
         """
-        with self._state_lock:
-            memo = self._sanitize_memo
-        if memo is not None and memo[0] == id(given):
+        memo = self._sanitize_memo
+        if memo is not None and memo[0] is given:
             return memo[1], memo[2]
         lo, hi = self._scale
         values, mask = given.values, given.mask
@@ -414,10 +420,7 @@ class PredictionService:
             poisoned_users = bad.any(axis=1)
         else:
             cleaned, poisoned_users = given, np.zeros(given.n_users, dtype=bool)
-        with self._state_lock:
-            self._sanitize_memo = (id(given), cleaned, poisoned_users)
-            # Hold a reference to the source so id() cannot be recycled.
-            self._sanitize_src = given
+        self._sanitize_memo = (given, cleaned, poisoned_users)
         return cleaned, poisoned_users
 
     # ------------------------------------------------------------------
@@ -468,8 +471,8 @@ class PredictionService:
             )
 
         n = users.size
-        stage_names = self.stage_names
-        last_level = len(self._stages) - 1
+        stages = self._stages
+        last_level = len(stages) - 1
         predictions = np.full(n, self._global_mean, dtype=np.float64)
         levels = np.full(n, last_level, dtype=np.intp)
         deferred = np.zeros(n, dtype=bool)
@@ -508,8 +511,6 @@ class PredictionService:
                 f"request {offender} (user={users[offender]}, item={items[offender]}) "
                 "is out of range"
             )
-        with self._state_lock:
-            self.invalid_total += n_invalid
 
         sanitized_req = np.zeros(n, dtype=bool)
         deadline_hit = False
@@ -555,11 +556,12 @@ class PredictionService:
             # whole batch at once — the model's batched kernel fuses
             # every request in one pass.  If the primary fails (or its
             # breaker is open), or a deadline needs mid-batch deferral,
-            # fall back to per-user blocks so faults and budget cuts
-            # stay isolated per user.
+            # walk the chain per user block so faults and budget cuts
+            # stay isolated per user.  A failed whole-batch attempt
+            # counts against the primary's breaker like a block's.
             if deadline is None and work_idx.size:
-                fast = self._predict_primary(
-                    cleaned, users[work_idx], items[work_idx], errors
+                fast = self._try_stage(
+                    stages[0], cleaned, users[work_idx], items[work_idx], errors
                 )
                 if fast is not None:
                     predictions[work_idx] = fast
@@ -575,14 +577,14 @@ class PredictionService:
                 blocks = np.split(work_idx[order], bounds)
             else:
                 blocks = []
-            cheap = self._cheap_level()
+            cheap = self._deadline_level
             for block in blocks:
                 if (
                     deadline is not None
                     and self._clock() - t0 >= deadline
                 ):
                     deadline_hit = True
-                    predictions[block] = self._stages[cheap].fn(
+                    predictions[block] = stages[cheap].fn(
                         cleaned, users[block], items[block]
                     )
                     levels[block] = cheap
@@ -599,71 +601,62 @@ class PredictionService:
         elapsed = self._clock() - t0
         n_deferred = int(deferred.sum()) if deadline_hit else 0
         n_sanitized = int(sanitized_req.sum())
+        n_fallback = int(np.count_nonzero(levels))
         if n_invalid or n_deferred or n_sanitized:
             n_degraded = int(
                 ((levels > 0) | invalid | sanitized_req | deferred).sum()
             )
         else:
-            n_degraded = int(np.count_nonzero(levels))
-        with self._state_lock:
-            self.requests_total += n
-            self.deadline_deferred_total += n_deferred
-            self.sanitized_total += n_sanitized
-            self.degraded_total += n_degraded
-        reg = self.metrics
-        if reg.enabled:
-            self._m_requests.inc(n)
-            self._m_latency.observe(elapsed)
-            counts = np.bincount(levels, minlength=len(stage_names))
-            for name, count in zip(stage_names, counts):
+            n_degraded = n_fallback
+        self._m_requests.inc(n)
+        self._m_latency.observe(elapsed)
+        if n_fallback:
+            counts = np.bincount(levels, minlength=len(stages)).tolist()
+            for stage, count in zip(stages, counts):
                 if count:
-                    reg.counter("serving.fallback", stage=name).inc(int(count))
-            if n_invalid:
-                reg.counter("serving.invalid").inc(n_invalid)
-            if n_sanitized:
-                reg.counter("serving.sanitized").inc(n_sanitized)
-            if n_deferred:
-                reg.counter("serving.deadline.deferred").inc(n_deferred)
-            if n_degraded:
-                reg.counter("serving.degraded").inc(n_degraded)
-            if cache_hits:
-                reg.counter("serving.cache.hits").inc(cache_hits)
-            if cache_misses:
-                reg.counter("serving.cache.misses").inc(cache_misses)
+                    stage.served.inc(count)
+        elif n:
+            stages[0].served.inc(n)
+        if n_invalid:
+            self._m_invalid.inc(n_invalid)
+        if n_sanitized:
+            self._m_sanitized.inc(n_sanitized)
+        if n_deferred:
+            self._m_deferred.inc(n_deferred)
+        if n_degraded:
+            self._m_degraded.inc(n_degraded)
+        if cache_hits:
+            self._m_cache_hits.inc(cache_hits)
+        if cache_misses:
+            self._m_cache_misses.inc(cache_misses)
         return ServingResult(
             predictions=np.clip(predictions, *self._scale),
             fallback_level=levels,
-            stage_names=stage_names,
+            stage_names=self.stage_names,
             invalid=invalid,
             sanitized=sanitized_req,
             deadline_deferred=deferred,
             deadline_hit=deadline_hit,
             elapsed=elapsed,
-            errors=tuple(errors[:_MAX_ERRORS_PER_CALL]),
+            errors=tuple(errors),
         )
 
-    def _cheap_level(self) -> int:
-        """Stage index used for deadline-deferred requests."""
-        for idx, stage in enumerate(self._stages):
-            if stage.name == "user_mean":
-                return idx
-        return len(self._stages) - 1  # pragma: no cover - chain always has it
-
-    def _predict_primary(
+    def _try_stage(
         self,
+        stage: _Stage,
         given: RatingMatrix,
         users: np.ndarray,
         items: np.ndarray,
         errors: list[StageFailure],
     ) -> np.ndarray | None:
-        """One whole-batch attempt at stage 0; ``None`` means fall back.
+        """One guarded attempt at *stage*; ``None`` means move on.
 
-        The caller then retries through the per-user block walk, so a
-        primary fault degrades to exactly the old fault-isolation
-        granularity instead of failing the batch.
+        The stage is skipped while its breaker is open.  A raise, or an
+        output that is misshapen or non-finite, is recorded against the
+        breaker, the stage's failure counter and *errors* (up to
+        ``_MAX_ERRORS_PER_CALL``).
         """
-        stage = self._stages[0]
-        breaker = self._breakers[stage.name]
+        breaker = stage.breaker
         if not breaker.allow():
             return None
         try:
@@ -674,8 +667,7 @@ class PredictionService:
                 )
         except Exception as exc:  # noqa: BLE001 - the chain absorbs stage faults
             breaker.record_failure()
-            if self.metrics.enabled:
-                self.metrics.counter("serving.stage.failures", stage=stage.name).inc()
+            stage.failures.inc()
             if len(errors) < _MAX_ERRORS_PER_CALL:
                 errors.append(
                     StageFailure(stage.name, f"{type(exc).__name__}: {exc}", users.size)
@@ -693,26 +685,9 @@ class PredictionService:
     ) -> tuple[np.ndarray, int]:
         """Walk the chain for one per-user block; never raises."""
         for level, stage in enumerate(self._stages):
-            breaker = self._breakers[stage.name]
-            if not breaker.allow():
-                continue
-            try:
-                out = np.asarray(stage.fn(given, users, items), dtype=np.float64)
-                if out.shape != users.shape or not np.isfinite(out).all():
-                    raise InvalidRequestError(
-                        f"stage {stage.name!r} produced non-finite or misshapen output"
-                    )
-            except Exception as exc:  # noqa: BLE001 - the chain absorbs stage faults
-                breaker.record_failure()
-                if self.metrics.enabled:
-                    self.metrics.counter("serving.stage.failures", stage=stage.name).inc()
-                if len(errors) < _MAX_ERRORS_PER_CALL:
-                    errors.append(
-                        StageFailure(stage.name, f"{type(exc).__name__}: {exc}", users.size)
-                    )
-                continue
-            breaker.record_success()
-            return out, level
+            out = self._try_stage(stage, given, users, items, errors)
+            if out is not None:
+                return out, level
         # Every stage failed or is open; the stored scalar still serves.
         return np.full(users.size, self._global_mean), len(self._stages) - 1
 
@@ -726,33 +701,41 @@ class PredictionService:
     def health(self) -> dict:
         """Operational snapshot for dashboards and tests.
 
-        The original keys are kept backward compatible.  Cumulative
-        degradation counters and per-breaker open-durations ride
-        along; when a real metrics registry is attached the counters
-        are sourced from it (one measurement path shared with the
-        exposition formats) and a ``latency`` percentile summary of
-        the ``serving.request.latency`` histogram is included.
+        Every total is read from :attr:`metrics`, the service's one
+        counter store, so it agrees with the exposition formats by
+        construction.  Per-breaker open-durations and a ``latency``
+        percentile summary of the ``serving.request.latency``
+        histogram ride along.
         """
-        reg = self.metrics
+        def total(name: str) -> int:
+            return int(self.metrics.counter_value(name))
+
+        latency = self._m_latency
         health = {
             "model": None if self.model is None else str(self.model.name),
             "model_version": self.model_version,
             "stages": list(self.stage_names),
             "breakers": {n: b.snapshot() for n, b in self._breakers.items()},
-            "requests_total": self.requests_total,
-            "invalid_total": self.invalid_total,
-            "deadline_deferred_total": self.deadline_deferred_total,
-            "sanitized_total": self.sanitized_total,
-            "degraded_total": self.degraded_total,
+            "requests_total": total("serving.requests"),
+            "invalid_total": total("serving.invalid"),
+            "deadline_deferred_total": total("serving.deadline.deferred"),
+            "sanitized_total": total("serving.sanitized"),
+            "degraded_total": total("serving.degraded"),
             "breaker_open_seconds": {
                 n: b.open_seconds() for n, b in self._breakers.items()
             },
-            "reloads_ok": self.reloads_ok,
-            "reloads_failed": self.reloads_failed,
+            "reloads_ok": total("serving.reload.ok"),
+            "reloads_failed": total("serving.reload.failed"),
             "last_reload_error": (
                 None if self.last_reload_error is None else repr(self.last_reload_error)
             ),
-            "metrics_enabled": reg.enabled,
+            "latency": {
+                "count": latency.count,
+                "mean": latency.mean,
+                "p50": latency.quantile(0.50),
+                "p95": latency.quantile(0.95),
+                "p99": latency.quantile(0.99),
+            },
         }
         if self._request_cache is not None:
             rc = self._request_cache
@@ -762,21 +745,5 @@ class PredictionService:
                 "hits": rc.hits,
                 "misses": rc.misses,
                 "hit_rate": rc.hit_rate,
-            }
-        if reg.enabled:
-            health["requests_total"] = int(reg.counter("serving.requests").value)
-            health["invalid_total"] = int(reg.counter("serving.invalid").value)
-            health["deadline_deferred_total"] = int(
-                reg.counter("serving.deadline.deferred").value
-            )
-            health["sanitized_total"] = int(reg.counter("serving.sanitized").value)
-            health["degraded_total"] = int(reg.counter("serving.degraded").value)
-            latency = reg.histogram("serving.request.latency")
-            health["latency"] = {
-                "count": latency.count,
-                "mean": latency.mean,
-                "p50": latency.quantile(0.50),
-                "p95": latency.quantile(0.95),
-                "p99": latency.quantile(0.99),
             }
         return health

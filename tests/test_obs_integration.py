@@ -9,10 +9,21 @@ from repro.core import CFSF
 from repro.obs import MetricsRegistry, NULL_REGISTRY, use_registry
 from repro.serving import PredictionService
 from repro.serving.breaker import CircuitBreaker, CircuitState
-from repro.serving.faults import FlakyRecommender, ManualClock
+from repro.serving.faults import FlakyRecommender, ManualClock, poison_given
 from repro.utils.timing import TimingResult, time_call
 
 pytestmark = pytest.mark.obs
+
+#: ``health()`` total -> the registry counter it reads.
+HEALTH_TOTALS = {
+    "requests_total": "serving.requests",
+    "invalid_total": "serving.invalid",
+    "deadline_deferred_total": "serving.deadline.deferred",
+    "sanitized_total": "serving.sanitized",
+    "degraded_total": "serving.degraded",
+    "reloads_ok": "serving.reload.ok",
+    "reloads_failed": "serving.reload.failed",
+}
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +140,8 @@ class TestServiceMetrics:
             "last_reload_error",
         ):
             assert key in health, key
-        # New cumulative keys, sourced from the registry.
-        assert health["metrics_enabled"] is True
+        # Cumulative keys, sourced from the registry.
+        assert "metrics_enabled" not in health
         assert health["requests_total"] == 120
         assert health["sanitized_total"] == 0
         assert health["degraded_total"] == 0
@@ -144,15 +155,71 @@ class TestServiceMetrics:
         users, items, _ = split_small.targets_arrays()
         service.predict_many(split_small.given, users[:20], items[:20])
         health = service.health()
-        assert health["metrics_enabled"] is False
-        assert health["requests_total"] == 20  # attribute counter still counts
-        assert "latency" not in health
+        # The service counts into a private registry of its own.
+        assert health["requests_total"] == 20
+        assert health["degraded_total"] == 0
+        assert health["latency"]["count"] == 1
+        assert health["latency"]["p50"] > 0.0
 
-    def test_attribute_counters_match_registry(self, served):
-        _, service = served
-        health = service.health()
-        assert service.requests_total == health["requests_total"]
-        assert service.degraded_total == health["degraded_total"]
+    def test_injected_and_ambient_registries_receive_the_counts(
+        self, cfsf_small, split_small
+    ):
+        users, items, _ = split_small.targets_arrays()
+        users, items = users[:20].copy(), items[:20].copy()
+        users[0] = -1  # one invalid request
+        poisoned = poison_given(split_small.given, [(int(users[1]), 0, float("nan"))])
+        injected, ambient = MetricsRegistry(), MetricsRegistry()
+        clock = ManualClock()
+        # No request cache, so the deadline call walks every block.
+        kwargs = dict(request_cache_size=0, sleep=clock.sleep)
+        with use_registry(ambient):
+            services = {
+                "injected": PredictionService(cfsf_small, metrics=injected, **kwargs),
+                "ambient": PredictionService(cfsf_small, **kwargs),
+            }
+        for registry, (label, service) in zip((injected, ambient), services.items()):
+            assert service.metrics is registry, label
+            service.predict_many(poisoned, users, items)
+            service.predict_many(split_small.given, users, items, deadline=0.0)
+            assert service.reload("/nonexistent/model.npz") is False
+            health = service.health()
+            for key, metric in HEALTH_TOTALS.items():
+                assert health[key] == registry.counter_value(metric), (label, key)
+            assert health["requests_total"] == 40
+            assert health["invalid_total"] == 2
+            assert health["sanitized_total"] == int((users == users[1]).sum())
+            assert health["deadline_deferred_total"] == 19
+            assert health["reloads_failed"] == 1
+            assert health["latency"]["count"] == 2
+
+    def test_services_without_registry_count_separately(self, cfsf_small, split_small):
+        users, items, _ = split_small.targets_arrays()
+        first, second = PredictionService(cfsf_small), PredictionService(cfsf_small)
+        assert first.metrics is not second.metrics
+        first.predict_many(split_small.given, users[:20], items[:20])
+        second.predict_many(split_small.given, users[:5], items[:5])
+        assert first.health()["requests_total"] == 20
+        assert second.health()["requests_total"] == 5
+
+    def test_sanitize_memo_matches_by_identity(self, cfsf_small, split_small):
+        users, items, _ = split_small.targets_arrays()
+        users, items = users[:20], items[:20]
+        entries = [(int(users[0]), 0, float("nan"))]
+        registry = MetricsRegistry()
+        service = PredictionService(cfsf_small, metrics=registry)
+        given_a = poison_given(split_small.given, entries)
+        given_b = poison_given(split_small.given, entries)
+        first = service.predict_many(given_a, users, items)
+        cleaned_a = service._sanitize_memo[1]
+        # Equal content, different object: scanned and repaired afresh.
+        second = service.predict_many(given_b, users, items)
+        source, cleaned_b, _ = service._sanitize_memo
+        assert source is given_b
+        assert cleaned_b is not cleaned_a
+        assert first.sanitized.any()
+        assert np.array_equal(first.sanitized, second.sanitized)
+        assert np.array_equal(first.predictions, second.predictions)
+        assert registry.counter_value("serving.sanitized") == 2 * first.sanitized.sum()
 
 
 class TestBreakerMetrics:

@@ -14,10 +14,13 @@ single-user slice would exercise only one block).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.core import CFSF, save_model
+from repro.obs import MetricsRegistry
 from repro.parallel import ParallelPredictor
 from repro.serving import (
     InvalidRequestError,
@@ -100,7 +103,6 @@ class TestHealthyPath:
         service = make_service(cfsf_small)
         service.predict_many(split_small.given, users, items)
         service.predict_many(split_small.given, users, items)
-        assert service.requests_total == 2 * users.size
         health = service.health()
         assert health["requests_total"] == 2 * users.size
         assert health["model_version"] == 1
@@ -138,7 +140,7 @@ class TestValidation:
         # Invalid requests come from the terminal stage; valid one is primary.
         assert result.fallback_level[0] == 0
         assert (result.fallback_level[1:] == len(service.stage_names) - 1).all()
-        assert service.invalid_total == 2
+        assert service.health()["invalid_total"] == 2
 
     def test_strict_mode_raises_on_bad_id(self, cfsf_small, split_small):
         service = make_service(cfsf_small, strict=True)
@@ -268,6 +270,104 @@ class TestFallbackChain:
         assert np.isfinite(result.predictions).all()
 
 
+class _NaNRecommender(FlakyRecommender):
+    """A primary that answers every request with NaN."""
+
+    def predict_many(self, given, users, items):
+        return np.full(np.asarray(users).size, np.nan)
+
+
+class _BrokenSim:
+    """A GIS similarity matrix whose every read raises."""
+
+    def __getitem__(self, key):
+        raise RuntimeError("injected item_knn failure")
+
+
+def _flaky(times):
+    return lambda model: FlakyRecommender(model, fail_times=times)
+
+
+def _dead_primary_and_item_knn(model):
+    dead = FlakyRecommender(model, fail_times=None)
+    dead.gis = SimpleNamespace(sim=_BrokenSim())
+    return dead
+
+
+def _open_primary(service, given, users, items):
+    """Trip the primary's breaker with one warm-up batch."""
+    service.predict_many(given, users, items)
+    assert service.breaker_states()[service.stage_names[0]] == "open"
+
+
+# One row per chain walk: (primary wrapper, warm-up, deadline,
+# per-request level, stage names in ``errors`` with "P" for the
+# primary, ``serving.stage.failures`` per stage during the batch).
+# The ``reqs`` batch holds eight distinct users, so a walk past the
+# whole-batch attempt runs eight per-user blocks; the breakers trip
+# after three consecutive failures.
+CHAIN_WALKS = {
+    "primary_healthy": (None, None, None, 0, (), {}),
+    "primary_raises_once_then_heals": (_flaky(1), None, None, 0, ("P",), {"P": 1}),
+    "primary_returns_nan": (_NaNRecommender, None, None, 1, ("P", "P", "P"), {"P": 3}),
+    "primary_breaker_open": (_flaky(None), _open_primary, None, 1, (), {}),
+    "primary_and_item_knn_failing": (
+        _dead_primary_and_item_knn, None, None, 2,
+        ("P", "P", "item_knn", "P", "item_knn", "item_knn"),
+        {"P": 3, "item_knn": 3},
+    ),
+    "zero_deadline": (None, None, 0.0, 2, (), {}),
+}
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("case", sorted(CHAIN_WALKS))
+def test_chain_walk_table(case, cfsf_small, split_small, reqs):
+    """Which stage serves, what it answers, and what the walk records.
+
+    Predictions must equal, bit for bit, the output of the stage that
+    served each request, computed on its own over the whole batch.
+    """
+    wrap, warm_up, deadline, level, error_stages, failures = CHAIN_WALKS[case]
+    users, items = reqs
+    given = split_small.given
+    clock = ManualClock()
+    registry = MetricsRegistry()
+    model = cfsf_small if wrap is None else wrap(cfsf_small)
+    service = make_service(model, clock=clock, sleep=clock.sleep, metrics=registry)
+    primary = service.stage_names[0]
+    if warm_up is not None:
+        warm_up(service, given, users, items)
+
+    def stage_failures() -> dict[str, int]:
+        return {
+            name: int(registry.counter_value("serving.stage.failures", stage=name))
+            for name in service.stage_names
+        }
+
+    before = stage_failures()
+    result = service.predict_many(given, users, items, deadline=deadline)
+    new_failures = {
+        name: count - before[name]
+        for name, count in stage_failures().items()
+        if count != before[name]
+    }
+
+    named = {"P": primary}
+    assert result.fallback_level.tolist() == [level] * users.size
+    assert [f.stage for f in result.errors] == [named.get(s, s) for s in error_stages]
+    assert new_failures == {named.get(s, s): n for s, n in failures.items()}
+
+    reference = make_service(cfsf_small)
+    expected = (
+        cfsf_small.predict_many(given, users, items)
+        if level == 0
+        else reference._stages[level].fn(given, users, items)
+    )
+    lo, hi = given.rating_scale
+    assert np.array_equal(result.predictions, np.clip(expected, lo, hi))
+
+
 @pytest.mark.faults
 class TestSanitization:
     def test_poisoned_given_is_sanitized_and_served(
@@ -340,7 +440,7 @@ class TestDeadline:
         cheap = service.stage_names.index("user_mean")
         assert (result.fallback_level[result.deadline_deferred] == cheap).all()
         assert np.isfinite(result.predictions).all()
-        assert service.deadline_deferred_total == 5
+        assert service.health()["deadline_deferred_total"] == 5
 
     def test_zero_deadline_defers_everything(self, cfsf_small, split_small, reqs):
         users, items = reqs
@@ -375,7 +475,7 @@ class TestReload:
         service = make_service(cfsf_small, snapshot_path=snap, sleep=clock.sleep)
         corrupt_snapshot(snap)
         assert service.reload() is False
-        assert service.reloads_failed == 1
+        assert service.health()["reloads_failed"] == 1
         assert isinstance(service.last_reload_error, SnapshotCorruptError)
         assert service.model_version == 1
         # Still serving, at full quality, from the last-known-good model.
@@ -388,7 +488,7 @@ class TestReload:
         snap = self._snapshot(cfsf_small, tmp_path)
         service = make_service(cfsf_small, snapshot_path=snap)
         assert service.reload() is True
-        assert service.reloads_ok == 1
+        assert service.health()["reloads_ok"] == 1
         assert service.model_version == 2
         # Breakers survive the swap (operational history is not reset).
         assert set(service.breaker_states()) == set(service.stage_names)
@@ -397,7 +497,7 @@ class TestReload:
         clock = ManualClock()
         service = make_service(cfsf_small, sleep=clock.sleep)
         assert service.reload(str(tmp_path / "nope.npz")) is False
-        assert service.reloads_failed == 1
+        assert service.health()["reloads_failed"] == 1
         assert isinstance(service.last_reload_error, FileNotFoundError)
 
     def test_reload_without_path_raises(self, cfsf_small):
