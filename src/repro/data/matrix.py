@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.utils.validation import check_mask, check_rating_matrix
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["RatingMatrix", "DatasetStats"]
 
@@ -154,6 +156,8 @@ class RatingMatrix:
         rating_scale: tuple[float, float] = (1.0, 5.0),
     ) -> "RatingMatrix":
         """Build a matrix from any SciPy sparse matrix (nonzero = rated)."""
+        from scipy import sparse
+
         csr = sparse.csr_matrix(csr)
         values = np.asarray(csr.todense(), dtype=np.float64)
         mask = values != 0.0
@@ -285,6 +289,8 @@ class RatingMatrix:
         A rating whose value is exactly 0.0 cannot be represented in
         this view; with the default 1..5 scale that never occurs.
         """
+        from scipy import sparse
+
         return sparse.csr_matrix(np.where(self._mask, self._values, 0.0))
 
     def to_triplets(self) -> list[tuple[int, int, float]]:

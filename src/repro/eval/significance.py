@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int, check_same_shape
@@ -79,6 +78,8 @@ def paired_comparison(
     err_a = np.abs(truth - a)
     err_b = np.abs(truth - b)
     diff = err_a - err_b
+
+    from scipy import stats
 
     t_stat, t_p = stats.ttest_rel(err_a, err_b)
     nonzero = diff[diff != 0.0]

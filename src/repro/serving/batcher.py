@@ -40,6 +40,19 @@ Observability (ambient or injected registry):
 ``serving.pool.in_use``            gauge — kernels checked out
 =================================  ====================================
 
+Each :meth:`MicroBatcher.submit` returns one :class:`Reply`, which is
+also the request's queue entry: one small slotted object per request,
+where a ``concurrent.futures.Future`` would allocate a condition
+variable, its lock's bound methods, a waiter deque and a callback
+list.  Those allocations set off the full garbage collections that
+dominated the front's tail latency (``docs/performance.md``).  A
+reply keeps the part of the ``Future`` API that callers use —
+``done()``, ``result(timeout)``, ``exception(timeout)`` and
+``add_done_callback(fn)`` — and raises
+``concurrent.futures.TimeoutError`` on timeout (a class of its own on
+Python 3.10, the built-in ``TimeoutError`` from 3.11).  It has no
+``cancel()``: a queued request is always dispatched and answered.
+
 `benchmarks/bench_serving_throughput.py` measures the result: ≥3× the
 RPS of the serialised baseline at 8 client threads, with batched
 predictions bit-for-bit equal to the serial path.
@@ -47,10 +60,11 @@ predictions bit-for-bit equal to the serial path.
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -64,11 +78,14 @@ from repro.serving.pool import KernelPool
 from repro.serving.service import PredictionService
 from repro.utils.validation import check_positive_int
 
-__all__ = ["BatchedPrediction", "MicroBatcher"]
+__all__ = ["BatchedPrediction", "MicroBatcher", "Reply"]
 
 #: Batch-size histogram buckets (requests per dispatch, powers of two).
 #: The default obs buckets are latencies — meaningless for counts.
 _BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+#: Callback failures are logged where ``Future`` logs them.
+_CALLBACK_LOG = logging.getLogger("concurrent.futures")
 
 
 @dataclass(frozen=True)
@@ -82,13 +99,115 @@ class BatchedPrediction:
     queue_wait: float  # seconds from submit to dispatch start
 
 
-@dataclass
-class _Pending:
-    given: RatingMatrix
-    user: int
-    item: int
-    future: Future
-    enqueued_at: float
+class Reply:
+    """One request's pending answer, and its entry in the batcher queue.
+
+    Resolves to a :class:`BatchedPrediction`, or to the exception the
+    dispatch raised.  Supports the ``concurrent.futures.Future`` calls
+    ``done``, ``result``, ``exception`` and ``add_done_callback``;
+    there is no ``cancel``.  The outcome is written once, under the
+    owning batcher's reply lock; a ``threading.Event`` is made only
+    for a caller that has to block on an unanswered reply.
+    """
+
+    __slots__ = (
+        "given", "user", "item", "enqueued_at", "_lock", "_outcome", "_event", "_callbacks"
+    )
+
+    def __init__(
+        self,
+        given: RatingMatrix,
+        user: int,
+        item: int,
+        enqueued_at: float,
+        lock: threading.Lock,
+    ) -> None:
+        self.given = given
+        self.user = user
+        self.item = item
+        self.enqueued_at = enqueued_at
+        self._lock = lock
+        # BatchedPrediction, or the BaseException the dispatch raised.
+        self._outcome: BatchedPrediction | BaseException | None = None
+        self._event: threading.Event | None = None
+        self._callbacks: list[Callable[[Reply], object]] | None = None
+
+    def done(self) -> bool:
+        """Whether the answer (or the dispatch's exception) is in."""
+        return self._outcome is not None
+
+    def _wait(self, timeout: float | None) -> BatchedPrediction | BaseException:
+        if self._outcome is None:
+            with self._lock:
+                if self._outcome is None:
+                    if self._event is None:
+                        self._event = threading.Event()
+                    event = self._event
+                else:
+                    event = None
+            if event is not None and not event.wait(timeout):
+                raise FuturesTimeoutError()
+        return self._outcome
+
+    def result(self, timeout: float | None = None) -> BatchedPrediction:
+        """The answer; waits up to *timeout* seconds (``None``: forever).
+
+        Re-raises the dispatch's exception, and raises
+        ``concurrent.futures.TimeoutError`` when the wait runs out.
+        """
+        outcome = self._wait(timeout)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+    def exception(self, timeout: float | None = None) -> BaseException | None:
+        """The dispatch's exception, or ``None`` if it answered; waits
+        and times out as :meth:`result` does."""
+        outcome = self._wait(timeout)
+        return outcome if isinstance(outcome, BaseException) else None
+
+    def add_done_callback(self, fn: Callable[["Reply"], object]) -> None:
+        """Call ``fn(reply)`` once answered, at once if it already is.
+
+        Callbacks run on the thread that answers the reply.  One that
+        raises is logged to the ``concurrent.futures`` logger and stops
+        neither the other callbacks nor the dispatch.
+        """
+        if self._outcome is None:
+            with self._lock:
+                if self._outcome is None:
+                    if self._callbacks is None:
+                        self._callbacks = [fn]
+                    else:
+                        self._callbacks.append(fn)
+                    return
+        self._call(fn)
+
+    def _call(self, fn: Callable[["Reply"], object]) -> None:
+        try:
+            fn(self)
+        except Exception:  # noqa: BLE001 - a caller's hook must not stop the dispatch
+            _CALLBACK_LOG.exception("exception calling callback for %r", self)
+
+    def _notify(self) -> None:
+        """Wake the waiter and run the callbacks (outcome already set)."""
+        if self._event is not None:
+            self._event.set()
+        if self._callbacks is not None:
+            for fn in self._callbacks:
+                self._call(fn)
+
+
+def _resolve(lock: threading.Lock, replies: list[Reply], outcomes: list) -> None:
+    """Set each reply's outcome under *lock*, then notify outside it."""
+    watched = []
+    with lock:
+        for reply, outcome in zip(replies, outcomes):
+            reply._outcome = outcome
+            if reply._event is not None or reply._callbacks is not None:
+                watched.append(reply)
+    for reply in watched:
+        reply._notify()
 
 
 class MicroBatcher:
@@ -185,7 +304,8 @@ class MicroBatcher:
         self._serial_mutex = threading.Lock()
 
         self._cond = threading.Condition()
-        self._queue: deque[_Pending] = deque()
+        self._queue: deque[Reply] = deque()
+        self._reply_lock = threading.Lock()  # guards every reply's outcome
         self._closed = False
         self._in_flight = 0  # batches popped and not yet answered
         self.dispatched_batches = 0
@@ -204,15 +324,22 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Client API
     # ------------------------------------------------------------------
-    def submit(self, given: RatingMatrix, user: int, item: int) -> Future:
-        """Enqueue one request; resolves to a :class:`BatchedPrediction`.
+    def submit(self, given: RatingMatrix, user: int, item: int) -> Reply:
+        """Enqueue one request; the :class:`Reply` resolves to a
+        :class:`BatchedPrediction`.
+
+        The reply supports ``done()``, ``result(timeout=None)``,
+        ``exception(timeout=None)`` and ``add_done_callback(fn)`` as a
+        ``concurrent.futures.Future`` does, and raises
+        ``concurrent.futures.TimeoutError`` when a wait runs out.  It
+        has no ``cancel()``: every queued request is answered.
 
         Never blocks.  On a full queue the overload policy decides:
         ``"raise"`` fails fast with :class:`OverloadedError`,
-        ``"shed"`` resolves the future immediately from the fallback
+        ``"shed"`` returns a reply already answered from the fallback
         chain (degraded, but answered).
         """
-        future: Future = Future()
+        user, item = int(user), int(item)
         reg = self.metrics
         with self._cond:
             if self._closed:
@@ -222,9 +349,8 @@ class MicroBatcher:
                 overloaded = True
             else:
                 overloaded = False
-                self._queue.append(
-                    _Pending(given, int(user), int(item), future, self._clock())
-                )
+                reply = Reply(given, user, item, self._clock(), self._reply_lock)
+                self._queue.append(reply)
                 self._cond.notify()
         # The queue-depth gauge is refreshed at dispatch (and below on
         # overload) rather than per submit: a per-submit registry write
@@ -248,16 +374,16 @@ class MicroBatcher:
                 given, np.array([user]), np.array([item]), deadline=0.0
             )
             level = int(result.fallback_level[0])
-            future.set_result(
-                BatchedPrediction(
-                    value=float(result.predictions[0]),
-                    fallback_level=level,
-                    stage=result.stage_names[level],
-                    degraded=True,
-                    queue_wait=0.0,
-                )
+            # Not yet shared with any other thread: no lock, no waiters.
+            reply = Reply(given, user, item, self._clock(), self._reply_lock)
+            reply._outcome = BatchedPrediction(
+                value=float(result.predictions[0]),
+                fallback_level=level,
+                stage=result.stage_names[level],
+                degraded=True,
+                queue_wait=0.0,
             )
-        return future
+        return reply
 
     def predict(
         self, given: RatingMatrix, user: int, item: int, *, timeout: float | None = None
@@ -268,7 +394,7 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     # Dispatch workers
     # ------------------------------------------------------------------
-    def _collect(self) -> list[_Pending] | None:
+    def _collect(self) -> list[Reply] | None:
         """Block until a batch is ready; ``None`` means shut down.
 
         A batch is ready at once when nothing is in flight; otherwise
@@ -299,7 +425,7 @@ class MicroBatcher:
                 # deterministic behaviour tests want.
                 self._cond.wait(timeout=max(deadline - now, 0.0))
 
-    def _pop_batch_locked(self) -> list[_Pending]:
+    def _pop_batch_locked(self) -> list[Reply]:
         """Pop a same-given run off the queue head (caller holds lock)."""
         first = self._queue.popleft()
         batch = [first]
@@ -325,10 +451,10 @@ class MicroBatcher:
             with pool.checkout() as kernel, self.service.model.borrowed_kernel(kernel):
                 yield
 
-    def _dispatch(self, batch: list[_Pending]) -> None:
+    def _dispatch(self, batch: list[Reply]) -> None:
         t_dispatch = self._clock()
-        users = np.fromiter((p.user for p in batch), dtype=np.intp, count=len(batch))
-        items = np.fromiter((p.item for p in batch), dtype=np.intp, count=len(batch))
+        users = np.fromiter((r.user for r in batch), dtype=np.intp, count=len(batch))
+        items = np.fromiter((r.item for r in batch), dtype=np.intp, count=len(batch))
         order = np.argsort(users, kind="stable")
         given = batch[0].given
         reg = self.metrics
@@ -338,33 +464,38 @@ class MicroBatcher:
                 "serving.batcher.batch_size", buckets=_BATCH_SIZE_BUCKETS
             ).observe(len(batch))
             coalesce = reg.histogram("serving.batcher.coalesce_wait")
-            for pending in batch:
-                coalesce.observe(max(t_dispatch - pending.enqueued_at, 0.0))
+            for reply in batch:
+                coalesce.observe(max(t_dispatch - reply.enqueued_at, 0.0))
         try:
             with self._dispatch_slot():
                 result = self.service.predict_many(given, users[order], items[order])
         except BaseException as exc:  # noqa: BLE001 - fault must reach every caller
-            for pending in batch:
-                if not pending.future.done():
-                    pending.future.set_exception(exc)
+            _resolve(self._reply_lock, batch, [exc] * len(batch))
             return
         with self._cond:
             self.dispatched_batches += 1
             self.dispatched_requests += len(batch)
         if reg.enabled:
             reg.counter("serving.batcher.dispatches").inc()
-        for pos, src in enumerate(order.tolist()):
-            pending = batch[src]
-            level = int(result.fallback_level[pos])
-            pending.future.set_result(
-                BatchedPrediction(
-                    value=float(result.predictions[pos]),
-                    fallback_level=level,
-                    stage=result.stage_names[level],
-                    degraded=bool(result.degraded[pos]),
-                    queue_wait=max(t_dispatch - pending.enqueued_at, 0.0),
-                )
+        # One tolist() per field: indexing the arrays per request (and
+        # the ``degraded`` property, which ORs four arrays) costs more
+        # than the answer itself.
+        values = result.predictions.tolist()
+        levels = result.fallback_level.tolist()
+        degraded = result.degraded.tolist()
+        stages = result.stage_names
+        replies = [batch[src] for src in order.tolist()]
+        answers = [
+            BatchedPrediction(
+                value=values[pos],
+                fallback_level=level,
+                stage=stages[level],
+                degraded=degraded[pos],
+                queue_wait=max(t_dispatch - reply.enqueued_at, 0.0),
             )
+            for pos, (reply, level) in enumerate(zip(replies, levels))
+        ]
+        _resolve(self._reply_lock, replies, answers)
 
     def _worker(self) -> None:
         while True:

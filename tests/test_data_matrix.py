@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.data import RatingMatrix
 
 
@@ -70,6 +75,24 @@ class TestConstructors:
 
     def test_csr_roundtrip(self, tiny_rm):
         assert RatingMatrix.from_csr(tiny_rm.to_csr()) == tiny_rm
+
+
+def test_import_repro_loads_no_scipy():
+    """SciPy loads only when a function needing it runs: its ~500
+    submodules would otherwise sit on the heap every full garbage
+    collection walks, on the serving path too."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, repro\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestAggregates:

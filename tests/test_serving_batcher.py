@@ -10,9 +10,13 @@ policies, and a clean drain on close.
 
 from __future__ import annotations
 
+import concurrent.futures
+import gc
+import logging
 import sys
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,6 +27,8 @@ from repro.serving import (
     OverloadedError,
     PredictionService,
 )
+from repro.serving.batcher import BatchedPrediction
+from repro.serving.faults import poison_given
 
 
 @pytest.fixture(scope="module")
@@ -227,8 +233,9 @@ def test_overload_policy_shed_answers_degraded(service, split_small, stream):
         assert _wait_until(lambda: batcher.queue_depth == 0)
         batcher.submit(split_small.given, int(users[1]), int(items[1]))
         shed = batcher.submit(split_small.given, int(users[2]), int(items[2]))
-        # Shed futures resolve immediately (no queue slot, no kernel):
+        # Shed replies resolve immediately (no queue slot, no kernel):
         # the answer comes from the cheap fallback stage, flagged so.
+        assert shed.done()
         result = shed.result(timeout=0)
         assert result.degraded
         assert result.fallback_level > 0
@@ -290,6 +297,7 @@ def test_dispatch_failure_reaches_every_caller(service, split_small, stream):
         future = batcher.submit(split_small.given, int(users[0]), int(items[0]))
         with pytest.raises(RuntimeError, match="induced dispatch fault"):
             future.result(timeout=30)
+        assert isinstance(future.exception(timeout=30), RuntimeError)
         # The failed batch no longer counts as in flight: with a 2 s
         # max_wait, a later lone submit still dispatches at once.
         started = time.monotonic()
@@ -306,3 +314,242 @@ def test_rejects_bad_knobs(service):
         MicroBatcher(service, overload_policy="drop")
     with pytest.raises(ValueError, match="max_wait_us"):
         MicroBatcher(service, max_wait_us=-1.0)
+
+
+# ----------------------------------------------------------------------
+# The reply: the Future calls callers use, and what a submit allocates
+# ----------------------------------------------------------------------
+def _held_in_flight(batcher, split_small, stream):
+    """Submit one request and wait until its dispatch is parked."""
+    users, items = stream
+    head = batcher.submit(split_small.given, int(users[0]), int(items[0]))
+    assert _wait_until(lambda: batcher.queue_depth == 0)
+    return head
+
+
+def test_reply_result_and_exception_wait_and_time_out(service, split_small, stream):
+    users, items = stream
+    batcher, release = _stalled_batcher(service, max_wait_us=0.0)
+    try:
+        _held_in_flight(batcher, split_small, stream)
+        reply = batcher.submit(split_small.given, int(users[1]), int(items[1]))
+        assert not reply.done()
+        # The class a Future raises, distinct from the built-in on 3.10.
+        with pytest.raises(concurrent.futures.TimeoutError):
+            reply.result(timeout=0.01)
+        with pytest.raises(concurrent.futures.TimeoutError):
+            reply.exception(timeout=0)
+    finally:
+        release()
+    answer = reply.result(timeout=30)
+    assert isinstance(answer, BatchedPrediction)
+    assert reply.done()
+    assert reply.result() is answer
+    assert reply.exception() is None
+    assert reply.exception(timeout=0) is None
+    batcher.close()
+
+
+def test_reply_callbacks_before_and_after_answer(service, split_small, stream):
+    users, items = stream
+    batcher, release = _stalled_batcher(service, max_wait_us=0.0)
+    calls = []
+
+    def record(tag):
+        return lambda reply: calls.append((tag, reply, threading.current_thread().name))
+
+    try:
+        _held_in_flight(batcher, split_small, stream)
+        reply = batcher.submit(split_small.given, int(users[1]), int(items[1]))
+        reply.add_done_callback(record("before-1"))
+        reply.add_done_callback(record("before-2"))
+        assert calls == []
+    finally:
+        release()
+    reply.result(timeout=30)
+    assert _wait_until(lambda: len(calls) == 2)
+    assert [tag for tag, _, _ in calls] == ["before-1", "before-2"]
+    assert all(got is reply for _, got, _ in calls)
+    assert {thread for _, _, thread in calls} == {"microbatch-0"}
+    # Added once answered: runs at once, on the caller's thread.
+    reply.add_done_callback(record("after"))
+    assert calls[-1] == ("after", reply, threading.current_thread().name)
+    batcher.close()
+
+
+def test_blocked_waiter_is_woken_by_the_dispatch(service, split_small, stream):
+    users, items = stream
+    batcher, release = _stalled_batcher(service, max_wait_us=0.0)
+    got = []
+    try:
+        _held_in_flight(batcher, split_small, stream)
+        reply = batcher.submit(split_small.given, int(users[1]), int(items[1]))
+        waiter = threading.Thread(target=lambda: got.append(reply.result(timeout=30)))
+        waiter.start()
+        time.sleep(0.05)
+        assert waiter.is_alive() and not got
+    finally:
+        release()
+    waiter.join(timeout=30)
+    assert not waiter.is_alive()
+    assert got == [reply.result()]
+    assert np.isfinite(got[0].value)
+    batcher.close()
+
+
+def test_raising_callback_spares_the_batch_and_the_worker(
+    service, split_small, stream, caplog
+):
+    """A done-callback that raises is logged; the rest of its batch is
+    still answered and the lone dispatch worker keeps serving."""
+    users, items = stream
+    batcher, release = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head = _held_in_flight(batcher, split_small, stream)
+        replies = [
+            batcher.submit(split_small.given, int(u), int(i))
+            for u, i in zip(users[1:6], items[1:6])
+        ]
+
+        def boom(_reply):
+            raise RuntimeError("callback fault")
+
+        seen = []
+        replies[2].add_done_callback(boom)
+        replies[2].add_done_callback(seen.append)
+        with caplog.at_level(logging.ERROR, logger="concurrent.futures"):
+            release()
+            for reply in [head, *replies]:
+                assert np.isfinite(reply.result(timeout=30).value)
+            assert _wait_until(lambda: seen == [replies[2]])
+        assert any(
+            record.exc_info and "callback fault" in str(record.exc_info[1])
+            for record in caplog.records
+        )
+        assert batcher.stats()["dispatched_batches"] == 2
+        # The lone worker survived: a later request is answered.
+        later = batcher.submit(split_small.given, int(users[6]), int(items[6]))
+        assert np.isfinite(later.result(timeout=30).value)
+    finally:
+        batcher.close()
+
+
+def test_mixed_fallback_levels_scatter_to_the_right_replies(service, split_small):
+    """One batch holding primary, sanitised and invalid requests: every
+    reply gets its own request's value, level, stage and degraded flag."""
+    users, items, _ = split_small.targets_arrays()
+    picks = np.unique(users, return_index=True)[1][:4]
+    poisoned_user = int(users[picks[1]])
+    given = poison_given(split_small.given, [(poisoned_user, 0, float("nan"))])
+    # Unsorted, with two ids out of range and one poisoned profile.
+    req_users = np.array(
+        [users[picks[3]], 10_000, poisoned_user, users[picks[0]], -1, users[picks[2]]]
+    )
+    req_items = np.array(
+        [items[picks[3]], 0, items[picks[1]], items[picks[0]], 0, items[picks[2]]]
+    )
+    order = np.argsort(req_users, kind="stable")
+    direct = service.predict_many(given, req_users[order], req_items[order])
+    want = {}
+    for pos, src in enumerate(order.tolist()):
+        level = int(direct.fallback_level[pos])
+        want[src] = (
+            float(direct.predictions[pos]),
+            level,
+            direct.stage_names[level],
+            bool(direct.degraded[pos]),
+        )
+    levels = {level for _, level, _, _ in want.values()}
+    assert len(levels) > 1
+    assert {flag for *_, flag in want.values()} == {True, False}
+    assert want[2][1] == 0 and want[2][3]  # sanitised: primary, yet degraded
+
+    batcher, release = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head = batcher.submit(given, int(req_users[0]), int(req_items[0]))
+        assert _wait_until(lambda: batcher.queue_depth == 0)
+        replies = [batcher.submit(given, int(u), int(i)) for u, i in zip(req_users, req_items)]
+    finally:
+        release()
+    head.result(timeout=30)
+    for src, reply in enumerate(replies):
+        answer = reply.result(timeout=30)
+        got = (answer.value, answer.fallback_level, answer.stage, answer.degraded)
+        assert got == want[src]
+        assert type(answer.fallback_level) is int and type(answer.degraded) is bool
+    assert batcher.stats()["dispatched_batches"] == 2
+    batcher.close()
+
+
+def test_submit_allocates_one_tracked_object(service, split_small, stream):
+    """The reply is the queue entry: a queued request adds one
+    GC-tracked object (a concurrent.futures.Future adds about 12)."""
+    users, items = stream
+    n = 1000
+    batcher, release = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_queue=2 * n
+    )
+    replies = [None] * n
+    user, item = int(users[1]), int(items[1])
+    try:
+        _held_in_flight(batcher, split_small, stream)
+        gc.collect()
+        before = len(gc.get_objects())
+        for j in range(n):
+            replies[j] = batcher.submit(split_small.given, user, item)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert batcher.queue_depth == n
+    finally:
+        release()
+    assert added <= 2 * n
+    for reply in replies:
+        reply.result(timeout=30)
+    batcher.close()
+
+
+@pytest.mark.stress
+def test_reply_hooks_race_the_dispatch(service, split_small, stream):
+    """Callbacks and waiters added while dispatches answer, with more
+    workers than cores and thread switches every 10 µs: every callback
+    runs exactly once and every waiter gets its own request's answer."""
+    users, items = stream
+    direct = service.predict_many(split_small.given, users, items).predictions
+    n_threads = 8
+    calls = np.zeros(users.size, dtype=np.int64)
+    got = np.full(users.size, np.nan)
+    barrier = threading.Barrier(n_threads)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with MicroBatcher(service, workers=4, max_wait_us=50.0) as batcher:
+
+            def count_call(idx, _reply):
+                calls[idx] += 1
+
+            def client(t):
+                barrier.wait()
+                mine = range(t, users.size, n_threads)
+                replies = [
+                    batcher.submit(split_small.given, int(users[i]), int(items[i]))
+                    for i in mine
+                ]
+                for idx, reply in zip(mine, replies):
+                    reply.add_done_callback(partial(count_call, idx))
+                for idx, reply in zip(mine, replies):
+                    got[idx] = reply.result(timeout=30).value
+
+            threads = [threading.Thread(target=client, args=(t,)) for t in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert np.array_equal(got, direct)
+    assert (calls == 1).all()
