@@ -39,7 +39,10 @@ across calls, reproducing the paper's "caching intermediate results"
 optimisation.  The key is the content of that user's given row
 (:meth:`~repro.data.matrix.RatingMatrix.row_key`), so a write to one
 profile re-folds only that user; the cache is cleared whenever the
-config changes, so the key never needs to cover it.
+config changes, so the key never needs to cover it.  The cache holds
+at most one state per user: a fold-in under a new row key drops the
+state it supersedes, so a stream of profile writes does not pin
+memory.
 """
 
 from __future__ import annotations
@@ -119,11 +122,13 @@ class CFSF(Recommender):
         self.kernel: FusionKernel | None = None
         self._kernel_config: CFSFConfig | None = None
         self._affinity_prep: PreparedAffinity | None = None
-        self._cache = LRUCache(maxsize=cfg.cache_size)
+        self._new_state_cache()
         # Per-thread kernel override (see borrowed_kernel) plus a lock
-        # so concurrent _require_kernel calls cannot race a rebuild.
+        # so concurrent _require_kernel calls cannot race a rebuild,
+        # and one that keeps the state cache and _state_keys in step.
         self._tl_kernel = threading.local()
         self._kernel_build_lock = threading.Lock()
+        self._state_lock = threading.Lock()
 
     # Thread-locals and locks cannot cross a pickle boundary (the
     # spawn-mode parallel executor ships the fitted model to workers);
@@ -132,12 +137,21 @@ class CFSF(Recommender):
         state = self.__dict__.copy()
         state.pop("_tl_kernel", None)
         state.pop("_kernel_build_lock", None)
+        state.pop("_state_lock", None)
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._tl_kernel = threading.local()
         self._kernel_build_lock = threading.Lock()
+        self._state_lock = threading.Lock()
+
+    def _new_state_cache(self) -> None:
+        """Start an empty per-user state cache under the current config."""
+        self._cache = LRUCache(maxsize=self.config.cache_size)
+        # user -> key of the latest state stored for them, so a fold-in
+        # can drop the state it supersedes.
+        self._state_keys: dict[int, tuple[bytes, int]] = {}
 
     @property
     def name(self) -> str:
@@ -210,10 +224,9 @@ class CFSF(Recommender):
             epsilon=cfg.epsilon,
             adjust_biases=cfg.adjust_biases,
         )
-        self.kernel.warm_prep_slab(cfg.top_k_users)
         self._kernel_config = cfg
         self._affinity_prep = prepare_affinity(smoothed.deviations, smoothed.deviation_counts)
-        self._cache = LRUCache(maxsize=cfg.cache_size)
+        self._new_state_cache()
 
     def _require_online(
         self,
@@ -229,19 +242,28 @@ class CFSF(Recommender):
         """Fold one active user in and select their top-K users (cached).
 
         Cached on the content of *user*'s given row, so other users'
-        profiles may change without invalidating this entry.
+        profiles may change without invalidating this entry.  Storing a
+        state drops the one this user had under an older row; when two
+        fold-ins of one user race, either may end up cached, and each
+        is right for its own key.
         """
-        if not 0 <= int(user) < given.n_users:
+        uid = int(user)
+        if not 0 <= uid < given.n_users:
             raise InvalidRequestError(
                 f"user {user} out of range [0, {given.n_users})"
             )
         kernel = self._require_kernel()
-        key = (given.row_key(user), int(user))
+        key = (given.row_key(user), uid)
         state = self._cache.get(key)
         if state is not None:
             return state
         state = self._compute_active_state(given, user, kernel)
-        self._cache.put(key, state)
+        with self._state_lock:
+            superseded = self._state_keys.get(uid)
+            if superseded is not None:
+                self._cache.discard(superseded)
+            self._state_keys[uid] = key
+            self._cache.put(key, state)
         return state
 
     def _compute_active_state(

@@ -1,7 +1,7 @@
 """A checkout/return pool of per-worker fusion kernels.
 
 :class:`~repro.core.fusion.FusionKernel` owns reusable scratch buffers
-(the Eq. 13 workspace, gather staging, the prepared-user slab), which
+(the Eq. 13 workspace and the gather staging), which
 makes ``fuse_many`` fast — and **non-re-entrant**.  Pre-concurrency,
 the serving layer simply serialised every call; under the ROADMAP's
 "heavy traffic" goal that turns the whole service into a single-file

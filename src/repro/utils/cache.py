@@ -100,6 +100,21 @@ class LRUCache:
             if len(self._data) > self._maxsize:
                 self._data.popitem(last=False)
 
+    def discard(self, key: Hashable) -> None:
+        """Remove *key* if present (a missing key is not an error).
+
+        Frees an entry the caller knows is superseded before LRU
+        eviction would reach it.  Hit/miss counters are untouched.
+
+        >>> cache = LRUCache(maxsize=2)
+        >>> cache.put("a", 1)
+        >>> cache.discard("a"); cache.discard("a")
+        >>> len(cache)
+        0
+        """
+        with self._mutex:
+            self._data.pop(key, None)
+
     def get_or_compute(self, key: Hashable, factory: Callable[[], Any]) -> Any:
         """Return cached value for *key*, computing and storing on a miss.
 

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.data import RatingMatrix
+from repro.serving.faults import poison_given
 
 
 class TestConstruction:
@@ -205,3 +206,48 @@ class TestRowKey:
 
     def test_memoised(self, tiny_rm):
         assert tiny_rm.row_key(1) is tiny_rm.row_key(1)
+
+
+class TestDerivedMatrices:
+    """with_ratings / without_ratings check and re-derive only the rows
+    they touch, and validate exactly as the full constructor does."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writing_non_finite_raises(self, tiny_rm, bad):
+        with pytest.raises(ValueError, match="observed ratings must be finite"):
+            tiny_rm.with_ratings([(3, 0, bad)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("write", ["with", "without"])
+    def test_non_finite_poison_in_untouched_row_still_raises(self, tiny_rm, bad, write):
+        poisoned = poison_given(tiny_rm, [(0, 2, bad)])
+        with pytest.raises(ValueError, match="observed ratings must be finite"):
+            if write == "with":
+                poisoned.with_ratings([(3, 0, 4.0)])
+            else:
+                poisoned.without_ratings([(3, 2)])
+
+    def test_out_of_scale_poison_passes_through(self, tiny_rm):
+        poisoned = poison_given(tiny_rm, [(0, 2, 99.0)])
+        child = poisoned.with_ratings([(3, 0, 4.0)]).without_ratings([(3, 2)])
+        assert child.values[0, 2] == 99.0 and child.mask[0, 2]
+        assert child.bad_rows(1, 5).tolist() == [True, False, False, False]
+
+    def test_untouched_rows_keep_their_memos(self, tiny_rm):
+        keys = [tiny_rm.row_key(u) for u in range(4)]
+        assert not tiny_rm.bad_rows(1, 5).any()
+        child = tiny_rm.with_ratings([(2, 0, 7.0)])
+        for u in (0, 1, 3):
+            assert child.row_key(u) is keys[u]
+        assert child.row_key(2) != keys[2]
+        assert child.bad_rows(1, 5).tolist() == [False, False, True, False]
+        assert not child.bad_rows(1, 5).flags.writeable
+        fresh = RatingMatrix(child.values, child.mask)
+        assert child == fresh and child.row_key(2) == fresh.row_key(2)
+
+    def test_negative_index_write_refreshes_both_memo_entries(self, tiny_rm):
+        stale = tiny_rm.row_key(-1)
+        assert stale == tiny_rm.row_key(3)
+        child = tiny_rm.with_ratings([(-1, 0, 4.0)])
+        assert child.values[3, 0] == 4.0
+        assert child.row_key(-1) == child.row_key(3) != stale

@@ -11,13 +11,17 @@ request cache of :class:`~repro.serving.PredictionService` both key on
   other user's cached state and request answers stay warm.
 
 They also pin that a config change on a fitted model drops the state
-built under the old config.
+built under the old config, and that a chain of writes gives the same
+row keys, bad-row flags and sanitised matrix as building the final
+matrix from scratch.
 """
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -147,6 +151,29 @@ class TestWriteRefoldsOneUser:
         model.predict_many(written, users, items)
         assert model.cache_stats()["misses"] == misses + 1
 
+    def test_rewrites_keep_one_state_per_user(self, split_small, requests):
+        """Regression: every superseded state stayed cached, pinning its
+        prepared arrays, until LRU eviction reached it."""
+        users, items = requests
+        model = CFSF(**GEOMETRY).fit(split_small.train)
+        given = split_small.given
+        model.predict_many(given, users, items)
+        stats = model.cache_stats()
+        n_users = np.unique(users).size
+        assert stats["entries"] == n_users
+
+        writer = int(users[0])
+        first = weakref.ref(model.active_user_state(given, writer))
+        item = int(np.nonzero(~given.mask[writer])[0][0])
+        for step in range(200):
+            given = given.with_ratings([(writer, item, float(1 + step % 5))])
+            model.predict_many(given, users, items)
+        after = model.cache_stats()
+        assert after["entries"] == n_users
+        assert after["misses"] == stats["misses"] + 200
+        gc.collect()
+        assert first() is None
+
     def test_service_serves_other_users_from_request_cache(self, split_small, requests):
         users, items = requests
         service = PredictionService(CFSF(**GEOMETRY).fit(split_small.train))
@@ -189,6 +216,49 @@ def test_concurrent_row_keys_agree(split_small):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert outputs == [expected] * n_threads
+
+
+@pytest.mark.stress
+def test_racing_fold_ins_keep_one_state_per_user(split_small, requests):
+    """Threads folding the same users in under different row contents
+    leave at most one cached state per user, and every state they get
+    back was computed from the content they asked about."""
+    users = np.unique(requests[0])[:2].tolist()
+    model = CFSF(**GEOMETRY).fit(split_small.train)
+    versions = [split_small.given]
+    for value in (2.0, 3.0, 4.0):
+        versions.append(versions[0].with_ratings(
+            [(u, int(np.nonzero(~versions[0].mask[u])[0][0]), value) for u in users]
+        ))
+    n_threads = 8
+    wrong: list = []
+    barrier = threading.Barrier(n_threads)
+
+    def worker(t: int) -> None:
+        barrier.wait()
+        for step in range(12):
+            given = versions[(t + step) % len(versions)]
+            for u in users:
+                state = model.active_user_state(given, u)
+                rated = given.mask[u]
+                if not (np.array_equal(state.observed, rated)
+                        and np.array_equal(state.profile[rated], given.values[u, rated])):
+                    wrong.append((t, step, u))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    cached_users = [user for _, user in model._cache]
+    assert sorted(cached_users) == sorted(users)
 
 
 class TestPerUserValidation:
@@ -241,3 +311,72 @@ class TestConfigChange:
         model.predict_many(split_small.given, users, items)
         assert model.kernel is kernel
         assert model.cache_stats()["misses"] == misses
+
+
+#: Ratings a write chain draws from; 0.0 means unrated, and 0.5 and 6.0
+#: lie outside the served (1, 5) scale, so some rows are bad.
+CHAIN_VALUES = [0.0, 0.5, 1.0, 2.5, 4.0, 5.0, 6.0]
+
+
+@st.composite
+def write_chains(draw):
+    """A small base matrix and 1–20 with/without_ratings steps.
+
+    Each step may first fill the parent's memos, so the child has row
+    keys and bad-row flags to inherit.  User indices may be negative.
+    """
+    n_users = draw(st.integers(1, 5))
+    n_items = draw(st.integers(1, 6))
+    cells = draw(st.lists(st.sampled_from(CHAIN_VALUES),
+                          min_size=n_users * n_items, max_size=n_users * n_items))
+    base = np.array(cells).reshape(n_users, n_items)
+    cell = st.tuples(st.integers(-n_users, n_users - 1), st.integers(0, n_items - 1))
+    rating = st.sampled_from(CHAIN_VALUES[1:])
+    write = st.one_of(
+        st.tuples(st.just("with"), st.lists(st.tuples(cell, rating), min_size=1, max_size=3)),
+        st.tuples(st.just("without"), st.lists(cell, min_size=1, max_size=3)),
+        st.tuples(st.just("nan"), cell),
+    )
+    steps = draw(st.lists(st.tuples(write, st.booleans()), min_size=1, max_size=20))
+    return base, steps
+
+
+class TestWriteChainProperty:
+    def test_chain_matches_matrix_built_from_scratch(self, cfsf_small):
+        service = PredictionService(cfsf_small)
+        lo, hi = service._scale
+
+        def fill_memos(matrix: RatingMatrix) -> None:
+            for u in range(-matrix.n_users, matrix.n_users):
+                matrix.row_key(u)
+            matrix.bad_rows(lo, hi)
+            service._sanitize_given(matrix)
+
+        @given(write_chains())
+        @settings(max_examples=60, deadline=None)
+        def check(chain) -> None:
+            base, steps = chain
+            matrix = RatingMatrix(base)
+            for (op, arg), warm in steps:
+                if warm:
+                    fill_memos(matrix)
+                if op == "with":
+                    matrix = matrix.with_ratings([(u, i, r) for (u, i), r in arg])
+                elif op == "without":
+                    matrix = matrix.without_ratings(arg)
+                else:
+                    with pytest.raises(ValueError, match="must be finite"):
+                        matrix.with_ratings([(*arg, float("nan"))])
+
+            fresh = RatingMatrix(matrix.values, matrix.mask)
+            np.testing.assert_array_equal(matrix.values, fresh.values)
+            np.testing.assert_array_equal(matrix.mask, fresh.mask)
+            for u in range(-fresh.n_users, fresh.n_users):
+                assert matrix.row_key(u) == fresh.row_key(u)
+            np.testing.assert_array_equal(matrix.bad_rows(lo, hi), fresh.bad_rows(lo, hi))
+            cleaned, flagged = service._sanitize_given(matrix)
+            fresh_cleaned, fresh_flagged = service._sanitize_given(fresh)
+            assert cleaned == fresh_cleaned
+            np.testing.assert_array_equal(flagged, fresh_flagged)
+
+        check()

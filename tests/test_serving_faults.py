@@ -200,6 +200,15 @@ class TestPoisonGiven:
         assert np.isnan(poisoned.values[0, 0]) and poisoned.mask[0, 0]
         assert poisoned.values[1, 1] == 99.0 and poisoned.mask[1, 1]
 
+    def test_inherits_no_row_fact(self, split_small):
+        given = split_small.given
+        lo, hi = given.rating_scale
+        key = given.row_key(0)
+        assert not given.bad_rows(lo, hi).any()
+        poisoned = poison_given(given, [(0, 0, 99.0)])
+        assert np.flatnonzero(poisoned.bad_rows(lo, hi)).tolist() == [0]
+        assert poisoned.row_key(0) != key
+
     def test_original_untouched(self, split_small):
         given = split_small.given
         values_before = given.values.copy()

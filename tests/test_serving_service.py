@@ -414,6 +414,20 @@ class TestSanitization:
         assert service._sanitize_memo is memo
         assert np.array_equal(first.predictions, second.predictions)
 
+    def test_poisoned_child_of_sanitised_parent_is_flagged(
+        self, cfsf_small, split_small, reqs
+    ):
+        users, items = reqs
+        service = make_service(cfsf_small)
+        service.predict_many(split_small.given, users, items)  # parent screened clean
+        bad_user = int(users[0])
+        poisoned = poison_given(split_small.given, [(bad_user, 0, 99.0)])
+        result = service.predict_many(poisoned, users, items)
+        assert result.sanitized.tolist() == [u == bad_user for u in users]
+        cleaned, flagged = service._sanitize_given(poisoned)
+        assert np.flatnonzero(flagged).tolist() == [bad_user]
+        assert not cleaned.mask[bad_user, 0]
+
     def test_clean_given_not_copied(self, cfsf_small, split_small, reqs):
         service = make_service(cfsf_small)
         cleaned, flagged = service._sanitize_given(split_small.given)

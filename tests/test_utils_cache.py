@@ -92,3 +92,20 @@ class TestGetOrCompute:
         for _ in range(2):
             c.get_or_compute("k", lambda: calls.append(1))
         assert len(calls) == 1
+
+
+class TestDiscard:
+    def test_discard_removes_one_key_and_keeps_counters(self):
+        c = LRUCache(3)
+        c.put("a", 1)
+        c.put("b", 2)
+        c.put("c", 3)
+        c.get("a")
+        counts = (c.hits, c.misses)
+        c.discard("b")
+        c.discard("b")  # already gone: a no-op
+        assert list(c) == ["c", "a"]
+        assert (c.hits, c.misses) == counts
+        c.put("d", 4)
+        c.put("e", 5)  # over capacity again: evicts "c", the LRU entry
+        assert list(c) == ["a", "d", "e"]
