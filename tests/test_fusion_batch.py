@@ -169,3 +169,44 @@ def test_fuse_many_empty_and_zero_k(fitted):
         kernel.fuse_many([(p, np.array([item]))])[0] for p, items in blocks for item in items
     ]
     np.testing.assert_array_equal(mixed, np.array(alone))
+
+
+@pytest.mark.parametrize("adjust_biases", [True, False])
+def test_single_neighbour_state_owns_its_arrays(fitted, adjust_biases):
+    """Regression: with ``k == 1`` the item-major ``(Q, 1)`` arrays were
+    views of the kernel's reusable row buffer, so a later gather (the
+    next fold-in, or the deviation gather of the same one) rewrote a
+    cached state and predictions depended on history."""
+    _model, split, users, items = fitted
+    model = CFSF(top_k_users=1, adjust_biases=adjust_biases).fit(split.train)
+    kernel = model.kernel
+    active = np.unique(users)
+    first = int(active[0])
+    mine = users == first
+
+    state = model.active_user_state(split.given, first)
+    assert state.prepared.k == 1
+    neighbour = int(state.top_k.users[0])
+    before = model.predict_many(split.given, users[mine], items[mine])
+    model.predict_many(split.given, users[~mine], items[~mine])  # other fold-ins
+
+    prepared = model.active_user_state(split.given, first).prepared
+    assert prepared is state.prepared
+    for cols in (prepared.wsu_cols, prepared.suir_cols, prepared.dev_cols):
+        if cols is not None:
+            assert not np.shares_memory(cols, kernel._row_scratch)
+    np.testing.assert_array_equal(prepared.suir_cols[:, 0], kernel._suir_matrix[neighbour])
+    if not adjust_biases:
+        np.testing.assert_array_equal(
+            prepared.dev_cols[:, 0], kernel.deviation_matrix[neighbour]
+        )
+
+    again = model.predict_many(split.given, users[mine], items[mine])
+    np.testing.assert_array_equal(again, before)
+    fresh = CFSF(top_k_users=1, adjust_biases=adjust_biases).fit(split.train)
+    np.testing.assert_array_equal(
+        fresh.predict_many(split.given, users[mine], items[mine]), before
+    )
+    np.testing.assert_allclose(
+        before, _scalar(model, split, users[mine], items[mine]), rtol=0, atol=TOL
+    )
