@@ -53,6 +53,15 @@ reply keeps the part of the ``Future`` API that callers use —
 Python 3.10, the built-in ``TimeoutError`` from 3.11).  It has no
 ``cancel()``: a queued request is always dispatched and answered.
 
+A dispatch builds its batch's answers in one pass: one ``tolist()``
+per result field, queue waits as one vectorised subtraction from the
+dispatch's clock reading, the replies put in the batch's user-sorted
+order by one ``operator.itemgetter``, and each
+:class:`BatchedPrediction` (a named tuple) made by
+``map(BatchedPrediction._make, zip(...))``.  When the request cache
+answers the whole batch, that pass and the cache probe are most of
+what a request costs (``docs/performance.md``, "Answer path").
+
 `benchmarks/bench_serving_throughput.py` measures the result: ≥3× the
 RPS of the serialised baseline at 8 client threads, with batched
 predictions bit-for-bit equal to the serial path.
@@ -66,8 +75,8 @@ import time
 from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -88,9 +97,19 @@ _BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 _CALLBACK_LOG = logging.getLogger("concurrent.futures")
 
 
-@dataclass(frozen=True)
-class BatchedPrediction:
-    """One request's answer, with its serving provenance."""
+class BatchedPrediction(NamedTuple):
+    """One request's answer, with its serving provenance.
+
+    An immutable named tuple: fields read by name or position, and the
+    batcher builds a batch's answers in one ``map(_make, zip(...))``
+    pass rather than one keyword call per request.  Being a tuple, an
+    answer is iterable and compares equal to a plain tuple of the same
+    values.
+
+    >>> answer = BatchedPrediction(3.5, 0, "CFSF", False, 0.0)
+    >>> answer.stage, answer == (3.5, 0, "CFSF", False, 0.0)
+    ('CFSF', True)
+    """
 
     value: float
     fallback_level: int
@@ -453,8 +472,11 @@ class MicroBatcher:
 
     def _dispatch(self, batch: list[Reply]) -> None:
         t_dispatch = self._clock()
-        users = np.fromiter((r.user for r in batch), dtype=np.intp, count=len(batch))
-        items = np.fromiter((r.item for r in batch), dtype=np.intp, count=len(batch))
+        n = len(batch)
+        users = np.fromiter(map(attrgetter("user"), batch), dtype=np.intp, count=n)
+        items = np.fromiter(map(attrgetter("item"), batch), dtype=np.intp, count=n)
+        enqueued = np.fromiter(map(attrgetter("enqueued_at"), batch), dtype=np.float64, count=n)
+        waits = np.maximum(t_dispatch - enqueued, 0.0)
         order = np.argsort(users, kind="stable")
         given = batch[0].given
         reg = self.metrics
@@ -462,39 +484,35 @@ class MicroBatcher:
             reg.gauge("serving.batcher.queue_depth").set(len(self._queue))
             reg.histogram(
                 "serving.batcher.batch_size", buckets=_BATCH_SIZE_BUCKETS
-            ).observe(len(batch))
+            ).observe(n)
             coalesce = reg.histogram("serving.batcher.coalesce_wait")
-            for reply in batch:
-                coalesce.observe(max(t_dispatch - reply.enqueued_at, 0.0))
+            for wait in waits.tolist():
+                coalesce.observe(wait)
         try:
             with self._dispatch_slot():
                 result = self.service.predict_many(given, users[order], items[order])
         except BaseException as exc:  # noqa: BLE001 - fault must reach every caller
-            _resolve(self._reply_lock, batch, [exc] * len(batch))
+            _resolve(self._reply_lock, batch, [exc] * n)
             return
         with self._cond:
             self.dispatched_batches += 1
-            self.dispatched_requests += len(batch)
+            self.dispatched_requests += n
         if reg.enabled:
             reg.counter("serving.batcher.dispatches").inc()
-        # One tolist() per field: indexing the arrays per request (and
-        # the ``degraded`` property, which ORs four arrays) costs more
-        # than the answer itself.
-        values = result.predictions.tolist()
+        # One tolist() per field and one C-level pass to build the
+        # answers: per-request array indexing (or the ``degraded``
+        # property, which ORs four arrays) and keyword construction
+        # cost more than the answer itself.
+        # (itemgetter of a single index returns the item, not a tuple.)
+        replies = itemgetter(*order.tolist())(batch) if n > 1 else batch
         levels = result.fallback_level.tolist()
-        degraded = result.degraded.tolist()
-        stages = result.stage_names
-        replies = [batch[src] for src in order.tolist()]
-        answers = [
-            BatchedPrediction(
-                value=values[pos],
-                fallback_level=level,
-                stage=stages[level],
-                degraded=degraded[pos],
-                queue_wait=max(t_dispatch - reply.enqueued_at, 0.0),
-            )
-            for pos, (reply, level) in enumerate(zip(replies, levels))
-        ]
+        answers = list(map(BatchedPrediction._make, zip(
+            result.predictions.tolist(),
+            levels,
+            map(result.stage_names.__getitem__, levels),
+            result.degraded.tolist(),
+            waits[order].tolist(),
+        )))
         _resolve(self._reply_lock, replies, answers)
 
     def _worker(self) -> None:

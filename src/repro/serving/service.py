@@ -529,28 +529,35 @@ class PredictionService:
             # Keys cover the requesting user's row content, so a write
             # to one profile leaves every other user's entries warm.
             # They are built from plain-int lists (one tolist() pass)
-            # rather than per-element np scalar casts; on the hot path
-            # the difference is measurable at batch sizes this small.
+            # rather than per-element np scalar casts, and probed under
+            # one lock.  An all-hit batch fills its rows with one array
+            # assignment; per-row numpy writes would cost more than the
+            # lookups.
             cache = self._request_cache
             miss_keys: dict[int, tuple] = {}
             if cache is not None:
                 row_key, ver = cleaned.row_key, self.model_version
                 u_list = users.tolist()
                 i_list = items.tolist()
-                remaining = []
-                for ridx in valid_idx.tolist():
-                    u = u_list[ridx]
-                    key = (row_key(u), u, i_list[ridx], ver)
-                    val = cache.get(key)
-                    if val is None:
-                        remaining.append(ridx)
-                        miss_keys[ridx] = key
-                    else:
-                        predictions[ridx] = val
-                        levels[ridx] = 0
-                work_idx = np.asarray(remaining, dtype=np.intp)
-                cache_hits = valid_idx.size - work_idx.size
+                valid = valid_idx.tolist()
+                keys = [(row_key(u_list[r]), u_list[r], i_list[r], ver) for r in valid]
+                found = cache.get_many(keys)
+                if None in found:
+                    remaining = []
+                    for ridx, key, val in zip(valid, keys, found):
+                        if val is None:
+                            remaining.append(ridx)
+                            miss_keys[ridx] = key
+                        else:
+                            predictions[ridx] = val
+                            levels[ridx] = 0
+                    work_idx = np.asarray(remaining, dtype=np.intp)
+                else:
+                    predictions[valid_idx] = found
+                    levels[valid_idx] = 0
+                    work_idx = valid_idx[:0]
                 cache_misses = work_idx.size
+                cache_hits = valid_idx.size - cache_misses
             else:
                 work_idx = valid_idx
 
@@ -741,11 +748,13 @@ class PredictionService:
         }
         if self._request_cache is not None:
             rc = self._request_cache
+            hits = total("serving.cache.hits")
+            misses = total("serving.cache.misses")
             health["request_cache"] = {
                 "entries": len(rc),
                 "maxsize": rc.maxsize,
-                "hits": rc.hits,
-                "misses": rc.misses,
-                "hit_rate": rc.hit_rate,
+                "hits": hits,
+                "misses": misses,
+                "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
             }
         return health

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 __all__ = ["LRUCache"]
 
@@ -88,6 +88,41 @@ class LRUCache:
             self._data.move_to_end(key)
             self.hits += 1
             return value
+
+    def get_many(self, keys: Sequence[Hashable], default: Any = None) -> list:
+        """:meth:`get` for each of *keys* in turn, under one lock.
+
+        Values, hit/miss counts and the recency order it leaves are
+        those of sequential :meth:`get` calls; a batch of lookups just
+        takes the mutex once instead of once per key.
+
+        >>> cache = LRUCache(maxsize=2)
+        >>> cache.put("a", 1); cache.put("b", 2)
+        >>> cache.get_many(["a", "x", "a"], default=0)
+        [1, 0, 1]
+        >>> cache.hits, cache.misses
+        (2, 1)
+        >>> cache.put("c", 3)      # "a" was refreshed, so "b" goes
+        >>> list(cache)
+        ['a', 'c']
+        """
+        data = self._data
+        move_to_end = data.move_to_end
+        values = []
+        hits = 0
+        with self._mutex:
+            for key in keys:
+                try:
+                    value = data[key]
+                except KeyError:
+                    values.append(default)
+                    continue
+                move_to_end(key)
+                values.append(value)
+                hits += 1
+            self.hits += hits
+            self.misses += len(values) - hits
+        return values
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/overwrite *key*, evicting the LRU entry when full."""

@@ -437,18 +437,23 @@ def test_raising_callback_spares_the_batch_and_the_worker(
 
 
 def test_mixed_fallback_levels_scatter_to_the_right_replies(service, split_small):
-    """One batch holding primary, sanitised and invalid requests: every
-    reply gets its own request's value, level, stage and degraded flag."""
+    """One unsorted batch holding primary, sanitised and invalid
+    requests, and one single-request batch: every reply gets its own
+    request's value, level, stage and degraded flag, as plain Python
+    types, with a non-negative queue wait."""
     users, items, _ = split_small.targets_arrays()
     picks = np.unique(users, return_index=True)[1][:4]
     poisoned_user = int(users[picks[1]])
     given = poison_given(split_small.given, [(poisoned_user, 0, float("nan"))])
-    # Unsorted, with two ids out of range and one poisoned profile.
+    # Unsorted, with two user ids and one item id out of range, and one
+    # poisoned profile.
     req_users = np.array(
-        [users[picks[3]], 10_000, poisoned_user, users[picks[0]], -1, users[picks[2]]]
+        [users[picks[3]], 10_000, poisoned_user, users[picks[0]], -1, users[picks[2]],
+         users[picks[0]]]
     )
     req_items = np.array(
-        [items[picks[3]], 0, items[picks[1]], items[picks[0]], 0, items[picks[2]]]
+        [items[picks[3]], 0, items[picks[1]], items[picks[0]], 0, items[picks[2]],
+         given.n_items + 5]
     )
     order = np.argsort(req_users, kind="stable")
     direct = service.predict_many(given, req_users[order], req_items[order])
@@ -465,22 +470,24 @@ def test_mixed_fallback_levels_scatter_to_the_right_replies(service, split_small
     assert len(levels) > 1
     assert {flag for *_, flag in want.values()} == {True, False}
     assert want[2][1] == 0 and want[2][3]  # sanitised: primary, yet degraded
+    assert want[6][1] > 0 and want[6][3]  # item out of range: a fallback answers
 
     batcher, release = _stalled_batcher(
         service, max_wait_us=2_000_000.0, max_batch_size=512
     )
     try:
+        # Dispatched alone, and held in flight while the rest queue.
         head = batcher.submit(given, int(req_users[0]), int(req_items[0]))
         assert _wait_until(lambda: batcher.queue_depth == 0)
         replies = [batcher.submit(given, int(u), int(i)) for u, i in zip(req_users, req_items)]
     finally:
         release()
-    head.result(timeout=30)
-    for src, reply in enumerate(replies):
+    for src, reply in [(0, head), *enumerate(replies)]:
         answer = reply.result(timeout=30)
         got = (answer.value, answer.fallback_level, answer.stage, answer.degraded)
         assert got == want[src]
-        assert type(answer.fallback_level) is int and type(answer.degraded) is bool
+        assert [type(field) for field in answer] == [float, int, str, bool, float]
+        assert answer.queue_wait >= 0.0
     assert batcher.stats()["dispatched_batches"] == 2
     batcher.close()
 
@@ -510,6 +517,27 @@ def test_submit_allocates_one_tracked_object(service, split_small, stream):
     for reply in replies:
         reply.result(timeout=30)
     batcher.close()
+
+
+def test_answered_request_holds_two_tracked_objects(service, split_small, stream):
+    """Once answered, a request holds two GC-tracked objects: its
+    reply and its answer."""
+    users, items = stream
+    n = 1000
+    replies = [None] * n
+    user, item = int(users[1]), int(items[1])
+    with MicroBatcher(service, workers=1, max_queue=2 * n) as batcher:
+        batcher.submit(split_small.given, user, item).result(timeout=30)
+        gc.collect()
+        before = len(gc.get_objects())
+        for j in range(n):
+            replies[j] = batcher.submit(split_small.given, user, item)
+        # Polled rather than waited on: a blocked result() makes an Event.
+        assert _wait_until(lambda: all(reply.done() for reply in replies), timeout=30)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+    assert added <= 2 * n
+    assert all(reply.result().stage == "CFSF" for reply in replies)
 
 
 @pytest.mark.stress

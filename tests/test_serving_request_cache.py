@@ -15,7 +15,7 @@ import pytest
 from repro.core import CFSF
 from repro.core.persistence import save_model
 from repro.data import default_dataset, make_split
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, render_prometheus
 from repro.serving import PredictionService
 
 
@@ -84,6 +84,30 @@ def test_reload_invalidates_cache(fitted, tmp_path):
     result = service.predict_many(split.given, users, items)
     assert registry.counter_value("serving.cache.hits") == 0
     assert np.isfinite(result.predictions).all()
+
+
+def test_health_cache_totals_survive_a_reload(fitted, tmp_path):
+    """health() reads cache hits and misses from the registry, so a
+    reload (which empties the cache) leaves them agreeing with it and
+    with the Prometheus exposition."""
+    model, split, users, items = fitted
+    path = str(tmp_path / "model.npz")
+    save_model(model, path)
+    registry = MetricsRegistry()
+    service = PredictionService(model, metrics=registry, snapshot_path=path)
+    service.predict_many(split.given, users, items)
+    service.predict_many(split.given, users, items)
+    assert service.reload()
+
+    cache = service.health()["request_cache"]
+    hits = registry.counter_value("serving.cache.hits")
+    misses = registry.counter_value("serving.cache.misses")
+    assert (cache["hits"], cache["misses"]) == (hits, misses) == (users.size, users.size)
+    assert cache["hit_rate"] == 0.5
+    assert cache["entries"] == 0
+    text = render_prometheus(registry)
+    assert f"serving_cache_hits_total {cache['hits']}" in text.splitlines()
+    assert f"serving_cache_misses_total {cache['misses']}" in text.splitlines()
 
 
 def test_given_change_misses_cache(fitted):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils.cache import LRUCache
 
@@ -109,3 +111,33 @@ class TestDiscard:
         c.put("d", 4)
         c.put("e", 5)  # over capacity again: evicts "c", the LRU entry
         assert list(c) == ["a", "d", "e"]
+
+
+class TestGetMany:
+    """``get_many`` is sequential ``get`` under one lock."""
+
+    keys = st.lists(st.integers(0, 6), max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(0, 4),
+        stored=keys,
+        probes=st.lists(keys, max_size=4),
+        later=keys,
+    )
+    def test_matches_sequential_get(self, maxsize, stored, probes, later):
+        one_by_one, batched = LRUCache(maxsize), LRUCache(maxsize)
+        for cache in (one_by_one, batched):
+            for key in stored:
+                cache.put(key, f"v{key}")
+        for keys in probes:
+            expected = [one_by_one.get(key, "miss") for key in keys]
+            assert batched.get_many(keys, "miss") == expected
+            assert (batched.hits, batched.misses) == (one_by_one.hits, one_by_one.misses)
+            assert list(batched) == list(one_by_one)
+        # Recency decides what later inserts evict.
+        for key in later:
+            one_by_one.put(key, key)
+            batched.put(key, key)
+        assert list(batched) == list(one_by_one)
+
