@@ -7,8 +7,6 @@
 Fits CFSF once, then serves the full ML_300/Given10 request stream
 through process pools of increasing size, reporting throughput and
 verifying the parallel predictions are identical to the serial ones.
-Also times the shared-memory tiled construction of the GIS
-(offline-phase parallelism).
 
 On a single-core host the pools only add overhead — the printout makes
 that visible rather than hiding it; on a multi-core machine the online
@@ -26,8 +24,7 @@ import numpy as np
 from repro.core import CFSF
 from repro.data import default_dataset, make_split
 from repro.eval import format_table
-from repro.parallel import ParallelPredictor, parallel_item_pcc
-from repro.similarity import item_pcc
+from repro.parallel import ParallelPredictor
 
 
 def main() -> None:
@@ -44,7 +41,6 @@ def main() -> None:
 
     model = CFSF().fit(split.train)
 
-    # --- online phase -------------------------------------------------
     start = time.perf_counter()
     serial = model.predict_many(split.given, users, items)
     serial_s = time.perf_counter() - start
@@ -58,34 +54,13 @@ def main() -> None:
             start = time.perf_counter()
             par = pp.predict_many(split.given, users, items)
             par_s = time.perf_counter() - start
-        identical = bool(np.allclose(serial, par))
-        rows.append([f"pool", n, par_s, len(users) / par_s, str(identical)])
+        identical = bool(np.array_equal(serial, par))
+        rows.append(["pool", n, par_s, len(users) / par_s, str(identical)])
     print(
         format_table(
             ["mode", "workers", "seconds", "preds/s", "matches serial"],
             rows,
             title="Online phase (predict_many over the full test stream)",
-        )
-    )
-    print()
-
-    # --- offline phase -------------------------------------------------
-    start = time.perf_counter()
-    ref = item_pcc(split.train.values, split.train.mask)
-    t_serial = time.perf_counter() - start
-    rows = [["serial", 1, t_serial, "-"]]
-    for n in args.workers:
-        if n == 1:
-            continue
-        start = time.perf_counter()
-        sim = parallel_item_pcc(split.train, n_workers=n)
-        t_par = time.perf_counter() - start
-        rows.append(["tiled pool", n, t_par, str(bool(np.allclose(ref, sim, atol=1e-12)))])
-    print(
-        format_table(
-            ["mode", "workers", "seconds", "matches serial"],
-            rows,
-            title="Offline phase (GIS construction, shared-memory tiles)",
         )
     )
 

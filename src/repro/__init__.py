@@ -17,7 +17,7 @@ Public API highlights
 :mod:`repro.eval`
     MAE metric, protocol driver, table reporting.
 :mod:`repro.parallel`
-    Shared-memory multi-process prediction executor with worker-crash
+    Multi-process online prediction executor with worker-crash
     recovery.
 :mod:`repro.serving`
     Fault-tolerant serving layer: fallback chain, circuit breakers,

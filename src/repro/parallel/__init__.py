@@ -1,30 +1,17 @@
-"""Parallel substrate: multi-process prediction and offline tiling.
+"""Parallel substrate: multi-process online prediction.
 
 Addresses the paper's Section VI future work ("how CFSF can improve
-its scalability in a parallel manner"):
+its scalability in a parallel manner") for the online phase:
+:class:`~repro.parallel.executor.ParallelPredictor` shards
+``predict_many`` across a process pool (copy-on-write model
+inheritance, LPT load balancing by active user via
+:func:`~repro.parallel.executor.greedy_partition`).
 
-* :class:`~repro.parallel.executor.ParallelPredictor` shards the online
-  phase across a process pool (copy-on-write model inheritance, LPT
-  load balancing by active user).
-* :func:`~repro.parallel.offline.parallel_item_pcc` tiles the GIS
-  construction over workers communicating through POSIX shared memory.
-* :mod:`~repro.parallel.shared` and :mod:`~repro.parallel.partition`
-  are the reusable building blocks.
+The offline GIS is not parallelised here: it is one BLAS-backed matrix
+product, and tiling it over processes measured slower than the serial
+product (EXPERIMENTS.md, E1).
 """
 
-from repro.parallel.executor import ParallelPredictor, recommended_workers
-from repro.parallel.offline import parallel_item_pcc
-from repro.parallel.partition import block_partition, cyclic_partition, greedy_partition
-from repro.parallel.shared import SharedArray, SharedArraySpec, attach
+from repro.parallel.executor import ParallelPredictor, greedy_partition, recommended_workers
 
-__all__ = [
-    "ParallelPredictor",
-    "SharedArray",
-    "SharedArraySpec",
-    "attach",
-    "block_partition",
-    "cyclic_partition",
-    "greedy_partition",
-    "parallel_item_pcc",
-    "recommended_workers",
-]
+__all__ = ["ParallelPredictor", "greedy_partition", "recommended_workers"]

@@ -5,14 +5,15 @@ delivers it for the online phase.  Active users are independent —
 their cached state (cluster assignment, top-K selection) is per-user —
 so the request stream shards cleanly by user.
 
-Two transport strategies:
+Transport: with ``fork`` (default on Linux) workers inherit the fitted
+model's arrays copy-on-write, so the model is neither copied nor
+serialised and the only pickled payload per task is an index array.
+``spawn`` pickles the model once per worker instead.
 
-* ``fork`` (default on Linux): workers inherit the fitted model's
-  arrays copy-on-write.  Zero copies, zero serialisation of the model;
-  the only pickled payload per task is an index array.
-* ``spawn``-safe explicit sharing is available for the *offline* phase
-  via :func:`repro.parallel.offline.parallel_item_pcc`, which moves the
-  rating matrix through :mod:`repro.parallel.shared`.
+Load balance: users carry unequal work (held-out items per user vary
+by an order of magnitude in the GivenN protocol), so shards are built
+by :func:`greedy_partition`, the LPT heuristic on per-user request
+counts, rather than by contiguous blocks of users.
 
 Fault tolerance: the pool is built on
 :class:`concurrent.futures.ProcessPoolExecutor`, whose
@@ -21,12 +22,10 @@ segfaults, ``os._exit``) instead of hanging the batch the way a raw
 ``multiprocessing.Pool.map`` does.  On a crash the predictor discards
 the broken pool, respawns a fresh one, and retries the whole batch
 (prediction is pure, so re-execution is safe); after
-``max_pool_retries`` respawns it degrades to inline serial execution
-in the parent rather than failing the request.  The
+``max_pool_retries`` respawns it runs the batch inline in the parent,
+where the model lives, so the request is always answered.  The
 ``crash_recoveries`` / ``inline_fallbacks`` counters expose what
-happened, and :class:`~repro.serving.errors.WorkerCrashError` is
-raised only when even the inline path is impossible (never, in
-practice — the model lives in the parent).
+happened.
 
 Speedups are bounded by BLAS already using multiple threads inside a
 single process — set ``OMP_NUM_THREADS=1`` in workers (done by the
@@ -47,10 +46,9 @@ import numpy as np
 from repro.baselines.base import Recommender
 from repro.data.matrix import RatingMatrix
 from repro.obs import NULL_REGISTRY, MetricsRegistry, get_registry
-from repro.parallel.partition import greedy_partition
 from repro.utils.validation import check_positive_int
 
-__all__ = ["ParallelPredictor", "recommended_workers"]
+__all__ = ["ParallelPredictor", "greedy_partition", "recommended_workers"]
 
 # Worker-global state, set once per worker by the pool initializer so
 # that per-task payloads stay tiny.  (Module-level by necessity:
@@ -109,9 +107,55 @@ def _predict_chunk(
     return preds, None
 
 
+def greedy_partition(costs: np.ndarray, n_parts: int) -> list[np.ndarray]:
+    """LPT scheduling: heaviest item first onto the lightest part.
+
+    Parameters
+    ----------
+    costs:
+        Per-element nonnegative work estimates (e.g. held-out items
+        per active user).
+    n_parts:
+        Number of parts (workers).
+
+    Returns
+    -------
+    list of index arrays, one per part; within a part indices are
+    sorted ascending (cache-friendlier gathers).
+
+    Notes
+    -----
+    LPT's makespan is at most ``4/3 − 1/(3m)`` of optimal — plenty for
+    a prediction fan-out where per-task variance dominates anyway.
+    """
+    check_positive_int(n_parts, "n_parts")
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.ndim != 1:
+        raise ValueError(f"costs must be 1-D, got ndim={costs.ndim}")
+    if (costs < 0).any():
+        raise ValueError("costs must be nonnegative")
+    order = np.argsort(-costs, kind="stable")
+    loads = np.zeros(n_parts)
+    buckets: list[list[int]] = [[] for _ in range(n_parts)]
+    for idx in order:
+        p = int(np.argmin(loads))
+        buckets[p].append(int(idx))
+        loads[p] += costs[idx]
+    return [np.array(sorted(b), dtype=np.intp) for b in buckets]
+
+
 def recommended_workers(max_workers: int | None = None) -> int:
-    """A sane worker count: physical CPUs capped at *max_workers*."""
-    n = os.cpu_count() or 1
+    """A sane worker count: the CPUs this process may run on, capped at
+    *max_workers*.
+
+    Counts the process's affinity mask where the platform has one, so a
+    process pinned to one CPU gets one worker; elsewhere falls back to
+    ``os.cpu_count()``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        n = len(os.sched_getaffinity(0))
+    else:
+        n = os.cpu_count() or 1
     if max_workers is not None:
         n = min(n, max_workers)
     return max(1, n)
@@ -127,18 +171,13 @@ class ParallelPredictor:
         model is inherited copy-on-write; it must not be mutated while
         the predictor is alive.
     n_workers:
-        Pool size (default: CPU count).
+        Pool size (default: :func:`recommended_workers`).
     start_method:
         ``"fork"`` (default, Linux) or ``"spawn"``.  Spawn pickles the
         model once per worker — correct everywhere but slower to start.
     max_pool_retries:
         How many times a crashed pool is respawned (batch retried)
         before degrading to inline serial prediction in the parent.
-    inline_fallback:
-        When ``False``, exhausting the respawn budget raises
-        :class:`~repro.serving.errors.WorkerCrashError` instead of
-        degrading to inline execution (for callers that would rather
-        shed the batch than serve it slowly).
     worker_hook:
         Optional picklable callable run inside the worker before each
         task — the seam the fault-injection harness
@@ -175,7 +214,6 @@ class ParallelPredictor:
         n_workers: int | None = None,
         start_method: str = "fork",
         max_pool_retries: int = 2,
-        inline_fallback: bool = True,
         worker_hook: Callable[[np.ndarray, np.ndarray], None] | None = None,
         metrics=None,
     ) -> None:
@@ -191,7 +229,6 @@ class ParallelPredictor:
         )
         self.start_method = start_method
         self.max_pool_retries = int(max_pool_retries)
-        self.inline_fallback = bool(inline_fallback)
         self.worker_hook = worker_hook
         self.metrics = get_registry() if metrics is None else metrics
         self._pool: ProcessPoolExecutor | None = None
@@ -319,13 +356,6 @@ class ParallelPredictor:
                 if delta is not None:
                     reg.merge(delta)
             return [preds for preds, _delta in fetched]
-        if not self.inline_fallback:
-            from repro.serving.errors import WorkerCrashError
-
-            raise WorkerCrashError(
-                f"pool workers kept dying ({self.max_pool_retries + 1} attempts) "
-                "and inline fallback is disabled"
-            )
         self.inline_fallbacks += 1
         if reg.enabled:
             reg.counter("parallel.inline.fallback").inc()

@@ -37,7 +37,6 @@ from repro.serving.errors import (
     SnapshotCorruptError,
     SnapshotError,
     SnapshotVersionError,
-    WorkerCrashError,
 )
 from repro.serving.pool import KernelPool
 from repro.serving.service import PredictionService, ServingResult, StageFailure
@@ -60,5 +59,4 @@ __all__ = [
     "SnapshotError",
     "SnapshotVersionError",
     "StageFailure",
-    "WorkerCrashError",
 ]

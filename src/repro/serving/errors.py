@@ -16,7 +16,6 @@ react per *kind* of failure instead of string-matching messages:
 :class:`SnapshotCorruptError`    The snapshot file is damaged (bad zip,
                                  missing arrays, checksum mismatch).
 :class:`SnapshotVersionError`    Readable snapshot in an unknown format.
-:class:`WorkerCrashError`        A pool worker died mid-batch.
 :class:`OverloadedError`         The admission queue is full; the
                                  request was refused (or shed to the
                                  fallback chain).
@@ -45,7 +44,6 @@ __all__ = [
     "SnapshotError",
     "SnapshotCorruptError",
     "SnapshotVersionError",
-    "WorkerCrashError",
 ]
 
 
@@ -122,10 +120,6 @@ class SnapshotCorruptError(SnapshotError):
 
 class SnapshotVersionError(SnapshotError):
     """A snapshot was written by an unknown format version."""
-
-
-class WorkerCrashError(ServingError, RuntimeError):
-    """A process-pool worker died while holding part of a batch."""
 
 
 class OverloadedError(ServingError, RuntimeError):

@@ -1,59 +1,18 @@
-"""Tests for the parallel substrate: partitioning, shared memory, the
-process-pool executors."""
+"""Tests for the parallel substrate: LPT partitioning and the
+process-pool predictor."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.core import CFSF
-from repro.parallel import (
-    ParallelPredictor,
-    SharedArray,
-    attach,
-    block_partition,
-    cyclic_partition,
-    greedy_partition,
-    parallel_item_pcc,
-    recommended_workers,
-)
-from repro.serving.errors import WorkerCrashError
+import repro
+from repro.parallel import ParallelPredictor, greedy_partition, recommended_workers
 from repro.serving.faults import KillWorkerAlways, KillWorkerOnce, SleepInWorker
-from repro.similarity import item_pcc
-
-
-class TestBlockPartition:
-    def test_covers_range_disjointly(self):
-        parts = block_partition(10, 3)
-        merged = np.concatenate(parts)
-        assert sorted(merged.tolist()) == list(range(10))
-        assert [len(p) for p in parts] == [4, 3, 3]
-
-    def test_more_parts_than_items(self):
-        parts = block_partition(2, 5)
-        assert sum(len(p) for p in parts) == 2
-        assert len(parts) == 5
-
-    def test_zero_items(self):
-        assert all(len(p) == 0 for p in block_partition(0, 3))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            block_partition(5, 0)
-        with pytest.raises(ValueError):
-            block_partition(-1, 2)
-
-
-class TestCyclicPartition:
-    def test_round_robin(self):
-        parts = cyclic_partition(7, 3)
-        assert parts[0].tolist() == [0, 3, 6]
-        assert parts[1].tolist() == [1, 4]
-        assert parts[2].tolist() == [2, 5]
-
-    def test_covers_all(self):
-        merged = np.concatenate(cyclic_partition(11, 4))
-        assert sorted(merged.tolist()) == list(range(11))
 
 
 class TestGreedyPartition:
@@ -73,7 +32,7 @@ class TestGreedyPartition:
     def test_lpt_beats_block_on_skewed_costs(self):
         costs = np.array([100.0] + [1.0] * 30)
         lpt = greedy_partition(costs, 4)
-        blk = block_partition(31, 4)
+        blk = np.array_split(np.arange(31), 4)
         lpt_makespan = max(costs[p].sum() for p in lpt)
         blk_makespan = max(costs[p].sum() for p in blk)
         assert lpt_makespan <= blk_makespan
@@ -83,64 +42,6 @@ class TestGreedyPartition:
             greedy_partition(np.array([-1.0]), 2)
 
 
-class TestSharedArray:
-    def test_roundtrip(self):
-        src = np.arange(12.0).reshape(3, 4)
-        with SharedArray.from_array(src) as sa:
-            view, handle = attach(sa.spec)
-            assert np.array_equal(view, src)
-            handle.close()
-
-    def test_zeros_alloc(self):
-        with SharedArray.zeros((2, 3)) as sa:
-            assert sa.array.shape == (2, 3)
-            assert (sa.array == 0).all()
-
-    def test_writes_visible_across_attach(self):
-        with SharedArray.zeros((4,)) as sa:
-            view, handle = attach(sa.spec)
-            view[2] = 7.0
-            assert sa.array[2] == 7.0
-            handle.close()
-
-    def test_close_idempotent(self):
-        sa = SharedArray.from_array(np.ones(3))
-        sa.close()
-        sa.close()  # no raise
-
-    def test_spec_nbytes(self):
-        sa = SharedArray.from_array(np.ones((2, 5)))
-        try:
-            assert sa.spec.nbytes == 80
-        finally:
-            sa.close()
-
-    def test_dtype_preserved(self):
-        src = np.array([1, 2, 3], dtype=np.int32)
-        with SharedArray.from_array(src) as sa:
-            view, handle = attach(sa.spec)
-            assert view.dtype == np.int32
-            handle.close()
-
-
-class TestParallelItemPcc:
-    def test_matches_serial(self, ml_small):
-        """Tile-blocked BLAS products are not bit-identical to the
-        one-shot product (different summation order), so equality is
-        asserted at float-rounding tolerance."""
-        serial = item_pcc(ml_small.values, ml_small.mask)
-        parallel = parallel_item_pcc(ml_small, n_workers=2)
-        assert np.allclose(serial, parallel, atol=1e-12)
-
-    def test_single_worker_path(self, ml_small):
-        out = parallel_item_pcc(ml_small, n_workers=1)
-        assert np.allclose(out, item_pcc(ml_small.values, ml_small.mask))
-
-    def test_rejects_other_centering(self, ml_small):
-        with pytest.raises(ValueError):
-            parallel_item_pcc(ml_small, n_workers=2, centering="corated_mean")
-
-
 class TestParallelPredictor:
     def test_matches_serial(self, cfsf_small, split_small):
         users, items, _ = split_small.targets_arrays()
@@ -148,7 +49,7 @@ class TestParallelPredictor:
         serial = cfsf_small.predict_many(split_small.given, users, items)
         with ParallelPredictor(cfsf_small, n_workers=2) as pp:
             par = pp.predict_many(split_small.given, users, items)
-        assert np.allclose(serial, par)
+        assert np.array_equal(serial, par)
 
     def test_single_worker_shortcut(self, cfsf_small, split_small):
         users, items, _ = split_small.targets_arrays()
@@ -200,7 +101,7 @@ class TestWorkerCrashRecovery:
         # The flag was consumed: exactly one worker died, the respawned
         # pool finished the batch, and the results are bit-identical.
         assert not hook.armed
-        assert np.allclose(out, serial)
+        assert np.array_equal(out, serial)
 
     def test_persistent_crashes_degrade_to_inline(self, cfsf_small, split_small):
         users, items, _ = split_small.targets_arrays()
@@ -215,22 +116,7 @@ class TestWorkerCrashRecovery:
             out = pp.predict_many(split_small.given, users, items)
             assert pp.crash_recoveries == 2  # initial pool + one respawn
             assert pp.inline_fallbacks == 1
-        assert np.allclose(out, serial)
-
-    def test_inline_fallback_disabled_raises_typed_error(
-        self, cfsf_small, split_small
-    ):
-        users, items, _ = split_small.targets_arrays()
-        with ParallelPredictor(
-            cfsf_small,
-            n_workers=2,
-            max_pool_retries=0,
-            inline_fallback=False,
-            worker_hook=KillWorkerAlways(),
-        ) as pp:
-            with pytest.raises(WorkerCrashError) as excinfo:
-                pp.predict_many(split_small.given, users[:40], items[:40])
-        assert isinstance(excinfo.value, RuntimeError)
+        assert np.array_equal(out, serial)
 
     def test_slow_workers_still_complete(self, cfsf_small, split_small):
         users, items, _ = split_small.targets_arrays()
@@ -239,7 +125,7 @@ class TestWorkerCrashRecovery:
             cfsf_small, n_workers=2, worker_hook=SleepInWorker(0.05)
         ) as pp:
             out = pp.predict_many(split_small.given, users, items)
-        assert np.allclose(
+        assert np.array_equal(
             out, cfsf_small.predict_many(split_small.given, users, items)
         )
 
@@ -266,3 +152,38 @@ class TestRecommendedWorkers:
 
     def test_cap(self):
         assert recommended_workers(max_workers=1) == 1
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity API"
+    )
+    def test_counts_affinity_mask(self):
+        """A process pinned to one CPU gets one worker, however many
+        CPUs the host has."""
+        out = _run_python(
+            "import os\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from repro.parallel import recommended_workers\n"
+            "print(recommended_workers())"
+        )
+        assert out == "1"
+
+
+def _run_python(code: str) -> str:
+    """Run *code* in a fresh interpreter that imports this checkout's
+    ``repro``; return its stripped stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_does_not_load_shared_memory():
+    out = _run_python(
+        "import sys, repro\n"
+        "print('multiprocessing.shared_memory' in sys.modules)"
+    )
+    assert out == "False"

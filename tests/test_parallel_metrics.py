@@ -43,7 +43,7 @@ class TestWorkerDeltaMerge:
         registry = MetricsRegistry()
         with ParallelPredictor(cfsf_small, n_workers=2, metrics=registry) as pp:
             out = pp.predict_many(split_small.given, users, items)
-        assert np.allclose(out, serial)
+        assert np.array_equal(out, serial)
         assert registry.counter_value("parallel.task.requests") == users.size
         latency = registry.histogram("parallel.task.latency")
         queue_wait = registry.histogram("parallel.task.queue_wait")
@@ -85,7 +85,7 @@ class TestCrashReconciliation:
             out = pp.predict_many(split_small.given, users, items)
             assert pp.crash_recoveries >= 1
             assert pp.inline_fallbacks == 0
-        assert np.allclose(out, serial)
+        assert np.array_equal(out, serial)
         # The respawn shows up in the registry, mirroring the attribute.
         assert registry.counter_value("parallel.pool.respawn") == pp.crash_recoveries
         # Reconciliation: the killed attempt's partial work contributed
@@ -108,7 +108,7 @@ class TestCrashReconciliation:
         ) as pp:
             out = pp.predict_many(split_small.given, users, items)
             assert pp.inline_fallbacks == 1
-        assert np.allclose(out, serial)
+        assert np.array_equal(out, serial)
         # Every request was ultimately predicted inline, exactly once.
         assert registry.counter_value("parallel.task.requests") == users.size
         assert registry.histogram("parallel.task.latency").count == 2

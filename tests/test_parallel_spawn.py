@@ -30,4 +30,4 @@ class TestSpawnMode:
         serial = cfsf_small.predict_many(split_small.given, users, items)
         with ParallelPredictor(cfsf_small, n_workers=2, start_method="spawn") as pp:
             par = pp.predict_many(split_small.given, users, items)
-        assert np.allclose(serial, par)
+        assert np.array_equal(serial, par)

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 from repro.core import cluster_deviations, fuse, fusion_weights, pair_similarity, smooth_ratings
 from repro.core.incremental import IncrementalGIS
 from repro.data import RatingMatrix, make_split
-from repro.parallel import block_partition, cyclic_partition, greedy_partition
+from repro.parallel import greedy_partition
 from repro.similarity import pairwise_pcc, pairwise_cosine, top_k_indices
 from repro.utils.cache import LRUCache
 
@@ -211,14 +211,6 @@ class TestCacheProperties:
 
 
 class TestPartitionProperties:
-    @given(st.integers(0, 200), st.integers(1, 8))
-    @settings(max_examples=80, deadline=None)
-    def test_block_and_cyclic_partition_range(self, n, parts):
-        for fn in (block_partition, cyclic_partition):
-            out = fn(n, parts)
-            merged = np.concatenate(out) if out else np.array([])
-            assert sorted(merged.tolist()) == list(range(n))
-
     @given(
         hnp.arrays(np.float64, st.integers(1, 40), elements=st.floats(0, 100)),
         st.integers(1, 6),

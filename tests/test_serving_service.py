@@ -574,7 +574,7 @@ class TestAcceptanceScenario:
         with ParallelPredictor(cfsf_small, n_workers=2, worker_hook=hook) as pp:
             par = pp.predict_many(split_small.given, users, items)
             assert pp.crash_recoveries >= 1
-        assert np.allclose(
+        assert np.array_equal(
             par, cfsf_small.predict_many(split_small.given, users, items)
         )
 
