@@ -1,183 +1,127 @@
-"""CI benchmark-regression gate for the serving benchmarks.
+"""Paired CI gate: does the head checkout serve slower than the base?
 
-Compares freshly measured serving runs against the committed baseline
-artefacts and fails (exit 1) when a gated metric regresses by more
-than the tolerance.  Two gates are registered:
+    python benchmarks/check_regression.py <base-checkout> <head-checkout>
 
-``latency``
-    ``BENCH_serving_latency.json`` — p95 seconds per prediction;
-    *lower is better*, so the gate fails when current p95 exceeds
-    ``baseline * (1 + tolerance)``.
-``throughput``
-    ``BENCH_serving_throughput.json`` — batched requests/second at 8
-    concurrent client threads; *higher is better*, so the gate fails
-    when current RPS drops below ``baseline * (1 - tolerance)``.
-
-Used by the ``bench-gate`` job in ``.github/workflows/ci.yml``; run
-locally with::
-
-    PYTHONPATH=src python benchmarks/check_regression.py --smoke
-    PYTHONPATH=src python benchmarks/check_regression.py --bench throughput --smoke
-
-Knobs
------
-``--bench latency|throughput|all``
-    Which gate(s) to run (default ``all``).
-``--tolerance`` / ``BENCH_GATE_TOLERANCE``
-    Allowed fractional regression (default 0.25 = ±25%).  CI runners
-    are noisy; the tolerance is a tripwire for gross regressions, not
-    a microbenchmark.
-``BENCH_GATE_SKIP=1``
-    Escape hatch: report and exit 0 regardless of the comparison.
-    For emergencies (e.g. a deliberate latency/quality trade landing
-    ahead of its new baseline) — the skip is printed loudly so it is
-    visible in the CI log.
-``--current``
-    Compare an existing result file instead of running the bench
-    (single ``--bench`` only, since the file holds one payload).
+Runs ``<tree>/servebench/run.py --workload all`` in ``PAIRS`` pairs of
+``SECONDS``-second runs; both runs of a pair share a seed, and the side
+that runs first alternates, so drift in the host's speed hits both
+sides alike.  For every ``end_to_end`` metric in head's
+``BENCHMARK.json`` and every workload, the gate fails when head's
+median is worse than base's by more than the metric's ``bound`` *and*
+head is worse in at least ``MIN_WORSE_SHARE`` of the pairs.  It also
+fails when a run exits non-zero or is ``"correct": false``, or when
+head fails a larger share of its requests than base.  If
+``servebench/`` or ``BENCHMARK.json`` differ between the trees, the
+benchmark changed: nothing is compared, and it is re-baselined after
+it lands.  docs/performance.md, "CI paired gate", gives the
+measurements behind the constants.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import statistics
+import subprocess
 import sys
-from dataclasses import dataclass
+import time
 from pathlib import Path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_TOLERANCE = 0.25
+#: Pairs of runs per gate (pair i runs seed i) and seconds per run.
+PAIRS = 6
+SECONDS = 10
+#: Share of the pairs head must be worse in before a median counts:
+#: all of them, since host stalls move a median past its bound alone.
+MIN_WORSE_SHARE = 1.0
 
 
-@dataclass(frozen=True)
-class Gate:
-    """One benchmark's gate: where its baseline lives and what to compare."""
-
-    name: str
-    baseline_path: Path
-    module: str  # benchmarks/<module>.py exposing run_bench(output_path, smoke)
-    metric: str  # payload key under comparison
-    higher_is_better: bool
-    unit_format: str  # format spec rendering the metric for humans
+def worse(better: str, head: float, base: float, bound: float = 0.0) -> bool:
+    """Whether *head* is worse than *base* by more than *bound* (relative)."""
+    if better == "lower":
+        return head > base * (1.0 + bound)
+    return head < base * (1.0 - bound)
 
 
-GATES: dict[str, Gate] = {
-    "latency": Gate(
-        name="latency",
-        baseline_path=REPO_ROOT / "BENCH_serving_latency.json",
-        module="bench_serving_latency",
-        metric="p95",
-        higher_is_better=False,
-        unit_format="ms",
-    ),
-    "throughput": Gate(
-        name="throughput",
-        baseline_path=REPO_ROOT / "BENCH_serving_throughput.json",
-        module="bench_serving_throughput",
-        metric="rps",
-        higher_is_better=True,
-        unit_format="rps",
-    ),
-}
+def failed_share(runs: list[dict]) -> float:
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
-def _fmt(gate: Gate, value: float) -> str:
-    if gate.unit_format == "ms":
-        return f"{value * 1e3:.3f}ms"
-    return f"{value:,.0f} RPS"
+def compare(end_to_end: list[dict], pairs: list[tuple[dict, dict]], log=None) -> list[str]:
+    """The gate's rule: its reasons to fail, one line each; none means pass.
 
-
-def check(
-    baseline: dict, current: dict, tolerance: float, gate: Gate | None = None
-) -> tuple[bool, str]:
-    """Pure comparison: ``(ok, human-readable verdict)``.
-
-    The gate is one-sided — only a regression beyond the tolerance
-    fails: a p95 *increase* past ``baseline * (1 + tolerance)`` for
-    lower-is-better metrics, an RPS *drop* below ``baseline * (1 -
-    tolerance)`` for higher-is-better ones.  Improvements always pass
-    (regenerating the baseline to ratchet the budget is a deliberate,
-    reviewed act).
+    *end_to_end* is ``BENCHMARK.json``'s list of that name; each pair
+    is ``(base, head)``, two result lines of ``run.py --workload all``.
+    *log*, if given, receives one line per workload and metric.
     """
-    if gate is None:
-        gate = GATES["latency"]
-    base = float(baseline[gate.metric])
-    curr = float(current[gate.metric])
-    if base <= 0.0:
-        return False, (
-            f"baseline {gate.metric} is non-positive ({base!r}); regenerate the baseline"
-        )
-    ratio = curr / base
-    if gate.higher_is_better:
-        limit = base * (1.0 - tolerance)
-        failed = curr < limit
-    else:
-        limit = base * (1.0 + tolerance)
-        failed = curr > limit
-    detail = (
-        f"{gate.metric} baseline={_fmt(gate, base)} current={_fmt(gate, curr)} "
-        f"({ratio - 1.0:+.0%} vs baseline, limit {_fmt(gate, limit)})"
-    )
-    if failed:
-        return False, f"REGRESSION: {detail}"
-    return True, f"OK: {detail}"
+    bases, heads = [b for b, _ in pairs], [h for _, h in pairs]
+    problems = [f"{side} run {i + 1} is incorrect"
+                for side, runs in (("base", bases), ("head", heads))
+                for i, run in enumerate(runs) if not run["correct"]]
+    if failed_share(heads) > failed_share(bases):
+        problems.append(f"failed share {failed_share(bases):.4g} -> {failed_share(heads):.4g}")
+    for workload in heads[0]["workloads"]:
+        for metric in end_to_end:
+            name, better = metric["name"], metric["better"]
+            base = [b["workloads"][workload][name]["value"] for b in bases]
+            head = [h["workloads"][workload][name]["value"] for h in heads]
+            base_med, head_med = statistics.median(base), statistics.median(head)
+            n_worse = sum(worse(better, h, b) for b, h in zip(base, head))
+            line = (f"{workload} {name}: {base_med:.4g} -> {head_med:.4g}, "
+                    f"worse in {n_worse}/{len(pairs)} pairs, bound {metric['bound']}")
+            if (worse(better, head_med, base_med, metric["bound"])
+                    and n_worse >= MIN_WORSE_SHARE * len(pairs)):
+                problems.append(line)
+            if log:
+                log(line)
+    return problems
 
 
-def _run_gate(gate: Gate, args: argparse.Namespace) -> tuple[bool, str]:
-    if not gate.baseline_path.exists():
-        return True, f"no baseline at {gate.baseline_path.name}; nothing to compare"
-    baseline = json.loads(gate.baseline_path.read_text())
-    if args.current is not None:
-        current = json.loads(args.current.read_text())
-    else:
-        sys.path.insert(0, str(Path(__file__).resolve().parent))
-        module = __import__(gate.module)
-        current = module.run_bench(output_path=None, smoke=args.smoke)
-    return check(baseline, current, args.tolerance, gate)
+def bench_files(tree: Path) -> dict[str, bytes]:
+    """What defines the benchmark in *tree*: servebench's files and BENCHMARK.json."""
+    files = [tree / "BENCHMARK.json", *(tree / "servebench").rglob("*")]
+    return {str(f.relative_to(tree)): f.read_bytes() for f in files
+            if f.is_file() and not any(part == "__pycache__" or part.startswith(".")
+                                       for part in f.relative_to(tree).parts)}
+
+
+def run(tree: Path, seed: int) -> tuple[int, dict | None]:
+    """One ``--workload all`` run: its exit code and its result line."""
+    cmd = [sys.executable, str(tree / "servebench" / "run.py"), "--workload", "all",
+           "--seed", str(seed), "--seconds", str(SECONDS)]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=False)
+    sys.stderr.write(proc.stderr)
+    last = (proc.stdout.strip().splitlines() or [""])[-1]
+    print(f"{tree} seed {seed}: exit {proc.returncode}, "
+          f"{time.perf_counter() - start:.0f} s\n{last}", flush=True)
+    return proc.returncode, json.loads(last) if proc.returncode == 0 else None
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--bench",
-        choices=[*GATES, "all"],
-        default="all",
-        help="which gate(s) to run (default: all)",
-    )
-    parser.add_argument(
-        "--current",
-        type=Path,
-        default=None,
-        help="existing result JSON to compare; omit to run the bench now",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=float(os.environ.get("BENCH_GATE_TOLERANCE", DEFAULT_TOLERANCE)),
-        help="allowed fractional regression (default 0.25, env BENCH_GATE_TOLERANCE)",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the benches in reduced smoke geometry (CI default)",
-    )
+    parser.add_argument("base", type=Path, help="checkout of the base commit")
+    parser.add_argument("head", type=Path, help="checkout of the head commit")
     args = parser.parse_args(argv)
-
-    names = list(GATES) if args.bench == "all" else [args.bench]
-    if args.current is not None and len(names) > 1:
-        parser.error("--current holds one payload; pick a single --bench")
-
-    all_ok = True
-    for name in names:
-        ok, verdict = _run_gate(GATES[name], args)
-        print(f"bench gate [{name}]: {verdict}", flush=True)
-        all_ok = all_ok and ok
-
-    if os.environ.get("BENCH_GATE_SKIP", "") not in ("", "0"):
-        print("bench gate: BENCH_GATE_SKIP set — result ignored, exiting 0", flush=True)
+    base_tree, head_tree = args.base.resolve(), args.head.resolve()
+    if bench_files(base_tree) != bench_files(head_tree):
+        print("paired gate: servebench/ or BENCHMARK.json changed; nothing compared, "
+              "re-baseline after this lands")
         return 0
-    return 0 if all_ok else 1
+    pairs, problems = [], []
+    for seed in range(1, PAIRS + 1):
+        order = (base_tree, head_tree) if seed % 2 else (head_tree, base_tree)
+        done = {tree: run(tree, seed) for tree in order}
+        problems += [f"{tree} seed {seed} exited {code}"
+                     for tree, (code, _) in done.items() if code != 0]
+        pairs.append((done[base_tree][1], done[head_tree][1]))
+    if not problems:
+        spec = json.loads((head_tree / "BENCHMARK.json").read_text())
+        problems = compare(spec["end_to_end"], pairs, log=print)
+    for problem in problems:
+        print(f"paired gate: FAIL: {problem}")
+    print(f"paired gate: {'FAIL' if problems else 'PASS'}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -49,6 +49,9 @@ def main() -> None:
     for n in args.workers:
         if n == 1:
             continue
+        # Drop the per-user state cache the serial run filled, so the
+        # pool does not fork with those states and skip their fold-ins.
+        model.build_online_kernel()
         with ParallelPredictor(model, n_workers=n) as pp:
             pp.predict_many(split.given, users[:50], items[:50])  # warm the pool
             start = time.perf_counter()

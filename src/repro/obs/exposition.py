@@ -5,8 +5,7 @@ snapshot`:
 
 * :func:`render_json` — the snapshot as a JSON document, spans and
   percentile estimates included.  This is what ``repro metrics
-  --format json`` prints and what ``BENCH_*.json`` artefacts are
-  derived from.
+  --format json`` prints.
 * :func:`render_prometheus` — the `text exposition format
   <https://prometheus.io/docs/instrumenting/exposition_formats/>`_
   scrapers expect: one ``# HELP``/``# TYPE`` pair per family, dotted

@@ -62,9 +62,10 @@ order by one ``operator.itemgetter``, and each
 answers the whole batch, that pass and the cache probe are most of
 what a request costs (``docs/performance.md``, "Answer path").
 
-`benchmarks/bench_serving_throughput.py` measures the result: ≥3× the
-RPS of the serialised baseline at 8 client threads, with batched
-predictions bit-for-bit equal to the serial path.
+``servebench/`` measures the result end to end (its ``hot_repeat``
+workload is this front under load), and
+``test_concurrent_submitters_all_get_right_answers`` checks that
+batched answers equal the serial path's.
 """
 
 from __future__ import annotations
