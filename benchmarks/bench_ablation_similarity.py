@@ -26,11 +26,12 @@ from repro.similarity import (
 
 
 def _gis_from(sim: np.ndarray) -> GlobalItemSimilarity:
-    masked = sim.copy()
-    np.fill_diagonal(masked, -np.inf)
-    order = np.argsort(-masked, axis=1, kind="stable")[:, : sim.shape[0] - 1]
+    # An empty neighbour order: build_online_kernel selects the top M.
     return GlobalItemSimilarity(
-        sim=sim, neighbours=order.astype(np.intp), threshold=0.0, centering="global_mean"
+        sim=sim,
+        neighbours=np.empty((sim.shape[0], 0), dtype=np.intp),
+        threshold=0.0,
+        centering="global_mean",
     )
 
 

@@ -384,7 +384,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     )
     # The offline phase runs under the registry so the fit spans
     # (model.fit -> gis.build / cluster.fit / smooth.apply /
-    # icluster.build) land in the snapshot alongside the serving
+    # icluster.build / gis.order) land in the snapshot alongside the serving
     # metrics.
     with use_registry(registry):
         model = CFSF().fit(split.train)

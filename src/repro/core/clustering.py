@@ -14,9 +14,13 @@ user-to-centroid PCC is well-defined for any user profile.
 
 Implementation notes
 --------------------
-* Assignment is one :func:`repro.similarity.pcc_to_rows` call per
-  iteration — an ``(P, L)`` masked-Gram product, no Python-level
-  distance loops.
+* Assignment is the :func:`repro.similarity.pcc_to_rows` computation
+  — an ``(P, L)`` masked-Gram product, no Python-level distance loops.
+  The user side (validation, masking, centring and the products that
+  need only the users and the centroids' all-rated mask) is prepared
+  once per call; each iteration runs only the products that read the
+  centroids, with the same expressions, so the result is bit-identical
+  to calling :func:`~repro.similarity.pcc_to_rows` every time.
 * Centroid update is a one-hot matrix product (``(L, P) @ (P, Q)``).
 * Empty clusters are reseeded with the users *least similar* to their
   current centroid (the standard farthest-point repair), keeping
@@ -33,7 +37,8 @@ import numpy as np
 
 from repro.data.matrix import RatingMatrix
 from repro.obs import span
-from repro.similarity import Centering, pcc_to_rows
+from repro.similarity import Centering
+from repro.similarity.pcc import _pcc_rows, _RowSide
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int
 
@@ -194,19 +199,19 @@ def _cluster_users_impl(
     )
     centroids = np.where(train.mask[seeds], centroids, seed_means[:, None])
 
+    users = _RowSide.of(train.values, train.mask, centering)
     ones_mask = np.ones_like(centroids, dtype=bool)
+    fixed = users.fixed_terms(ones_mask.astype(np.float64))
+
+    def similarities(centroids: np.ndarray) -> np.ndarray:
+        """``pcc_to_rows(users, centroids)``, the user side prepared."""
+        return _pcc_rows(users, fixed, _RowSide.of(centroids, ones_mask, centering), min_overlap)
+
     sims = np.zeros((P, L), dtype=np.float64)
     converged = False
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
-        sims = pcc_to_rows(
-            train.values,
-            train.mask,
-            centroids,
-            ones_mask,
-            centering=centering,
-            min_overlap=min_overlap,
-        )
+        sims = similarities(centroids)
         new_labels = np.argmax(sims, axis=1)
 
         # Repair empty clusters: steal the user least similar to its
@@ -229,17 +234,13 @@ def _cluster_users_impl(
             break
         labels = new_labels
         centroids = _compute_centroids(train, labels, L)
-        ones_mask = np.ones_like(centroids, dtype=bool)
 
-    centroids = _compute_centroids(train, labels, L)
-    sims = pcc_to_rows(
-        train.values,
-        train.mask,
-        centroids,
-        np.ones_like(centroids, dtype=bool),
-        centering=centering,
-        min_overlap=min_overlap,
-    )
+    if not converged or n_iter == 1:
+        # A later converged pass already measured the centroids of the
+        # final labels; otherwise (a cap hit, or the seeds converged)
+        # measure them now.
+        centroids = _compute_centroids(train, labels, L)
+        sims = similarities(centroids)
     return UserClusters(
         labels=labels,
         centroids=centroids,

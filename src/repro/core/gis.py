@@ -5,7 +5,10 @@ items over the whole training matrix, optionally filters entries below
 a threshold ("the size of GIS will be greatly reduced"), and *sorts
 each item's neighbours in descending order* so that the online phase
 can "directly pick up the top M similar items" (Section IV-E.1) in
-O(M) instead of O(Q log Q) per request.
+O(M) instead of O(Q log Q) per request.  Only the top of each row is
+ever read, so only that is sorted: the order is selected to the width
+asked for (``M`` at fit), and widened from ``sim`` if a caller asks
+for more.
 
 The class also carries the sufficient statistics needed by the
 incremental-maintenance extension (:mod:`repro.core.incremental`) to
@@ -31,9 +34,9 @@ __all__ = ["GlobalItemSimilarity", "NeighborCache", "build_gis", "build_neighbor
 class NeighborCache:
     """Precomputed per-item top-M neighbourhoods (the online hot path).
 
-    ``top_m`` on the full GIS slices a ``(Q, Q-1)`` index matrix and
-    gathers similarities from the dense ``(Q, Q)`` similarity matrix on
-    every request.  This cache freezes the result of that selection at
+    ``top_m`` on the bare GIS slices its neighbour order and gathers
+    similarities from the dense ``(Q, Q)`` similarity matrix on every
+    request.  This cache freezes the result of that selection at
     build time into compact ``int32``/``float32`` arrays so the online
     phase — and the snapshot a serving fleet ships around — touches
     ``O(Q·M)`` memory instead of ``O(Q²)``.
@@ -112,14 +115,14 @@ class NeighborCache:
 def build_neighbor_cache(gis: "GlobalItemSimilarity", m: int) -> NeighborCache:
     """Materialise every item's top-``m`` positive neighbours.
 
-    The GIS rows are already sorted descending, so the positive entries
-    form a prefix of each row; the cache is a slice + gather, padded
-    with zeros (a zero similarity carries zero fusion weight, which is
+    The GIS order is sorted descending, so the positive entries form a
+    prefix of each row; the cache is a slice + gather, padded with
+    zeros (a zero similarity carries zero fusion weight, which is
     arithmetically identical to exclusion).
     """
     check_positive_int(m, "m")
-    m_eff = min(m, gis.neighbours.shape[1])
-    indices = gis.neighbours[:, :m_eff].astype(np.int32)
+    m_eff = min(m, gis.n_items - 1)
+    indices = gis.order(m)[:, :m_eff].astype(np.int32)
     if m_eff < m:  # tiny catalogues: pad out to the requested width
         pad = np.zeros((gis.n_items, m - m_eff), dtype=np.int32)
         indices = np.concatenate([indices, pad], axis=1)
@@ -143,9 +146,12 @@ class GlobalItemSimilarity:
     sim:
         ``(Q, Q)`` thresholded similarity matrix (diagonal = 1).
     neighbours:
-        ``(Q, Q-1)`` item indices, each row sorted by descending
-        similarity to the row item (self excluded).  ``top_m`` slices
-        this, so per-request selection is O(M).
+        ``(Q, w)`` item indices, each row the ``w`` items most similar
+        to the row item (self excluded), by descending similarity; ties
+        keep ascending item order, so a row is the prefix of a stable
+        descending argsort.  ``w`` is the widest order asked for so far
+        (see :meth:`order`), at most ``Q - 1``; ``top_m`` slices it, so
+        per-request selection is O(M).
     threshold:
         The |similarity| filter that was applied (0.0 = none).
     centering:
@@ -165,6 +171,18 @@ class GlobalItemSimilarity:
     def n_items(self) -> int:
         """Number of items ``Q``."""
         return self.sim.shape[0]
+
+    def order(self, m: int) -> np.ndarray:
+        """The neighbour order, at least ``min(m, Q - 1)`` wide.
+
+        Selects a wider order from ``sim`` when the held one is too
+        narrow; every prefix of it is the same whatever the width.
+        """
+        width = min(m, self.n_items - 1)
+        if self.neighbours.shape[1] < width:
+            with span("gis.order", width=width):
+                self.neighbours = _top_m_order(self.sim, width)
+        return self.neighbours
 
     def attach_cache(self, m: int) -> NeighborCache:
         """Build (or reuse) a :class:`NeighborCache` of width ``m``."""
@@ -195,7 +213,7 @@ class GlobalItemSimilarity:
             raise ValueError(f"item {item} out of range [0, {self.n_items})")
         if self.cache is not None and m <= self.cache.m:
             return self.cache.top_m(item, m)
-        cand = self.neighbours[item, : min(m, self.neighbours.shape[1])]
+        cand = self.order(m)[item, :m]
         sims = self.sim[item, cand]
         keep = sims > 0.0
         return cand[keep], sims[keep]
@@ -210,8 +228,42 @@ class GlobalItemSimilarity:
         return 1.0 - nz / off
 
     def memory_bytes(self) -> int:
-        """Approximate resident size (sim + neighbour lists)."""
+        """Approximate resident size: ``sim`` plus the order held so far.
+
+        The order is ``(Q, M)`` after a fit, not ``(Q, Q-1)``; the
+        attached cache is not counted (see
+        :meth:`NeighborCache.memory_bytes`).
+        """
         return int(self.sim.nbytes + self.neighbours.nbytes)
+
+
+def _top_m_order(sim: np.ndarray, m: int) -> np.ndarray:
+    """Each row's ``m`` most similar other columns, by descending value.
+
+    Equal to ``np.argsort(-masked, axis=1, kind="stable")[:, :m]`` with
+    ``masked`` the ``(Q, Q)`` matrix *sim* with ``-inf`` on its diagonal,
+    for ``m <= Q - 1``, without sorting whole rows.  A row keeps every
+    entry at or above its ``m``-th largest value; when ties at that value
+    make more than ``m``, the tied entries of lowest index fill the row,
+    as a stable sort would.  The kept ``m`` entries, in index order, are
+    then stable-sorted, which keeps ties in index order.
+    """
+    Q = sim.shape[0]
+    if m == 0:
+        return np.empty((Q, 0), dtype=np.intp)
+    neg = np.negative(sim)
+    np.fill_diagonal(neg, np.inf)
+    cut = np.partition(neg, m - 1, axis=1)[:, m - 1 : m]
+    keep = neg <= cut
+    tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
+    if tied.size:
+        above = neg[tied] < cut[tied]
+        at = keep[tied] & ~above
+        room = m - np.count_nonzero(above, axis=1)
+        keep[tied] = above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
+    cols = np.nonzero(keep)[1].reshape(Q, m)
+    ranks = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, ranks, axis=1)
 
 
 def build_gis(
@@ -221,7 +273,12 @@ def build_gis(
     centering: Centering = "global_mean",
     min_overlap: int = 2,
 ) -> GlobalItemSimilarity:
-    """Offline step 1: compute, threshold, and sort the GIS.
+    """Offline step 1: compute and threshold the GIS.
+
+    The neighbour order starts empty: :meth:`GlobalItemSimilarity.order`
+    selects it to the width first asked for (``M``, when the fit
+    attaches the neighbour cache), so no row is sorted past what the
+    online phase reads.
 
     Parameters
     ----------
@@ -243,15 +300,9 @@ def build_gis(
     with span("gis.build", n_items=train.n_items, threshold=threshold) as sp:
         sim = item_pcc(train.values, train.mask, centering=centering, min_overlap=min_overlap)
         sim = apply_threshold(sim, threshold)
-        # Descending argsort per row with self excluded.  `stable` keeps
-        # deterministic output under ties (common after thresholding).
-        Q = sim.shape[0]
-        masked = sim.copy()
-        np.fill_diagonal(masked, -np.inf)
-        order = np.argsort(-masked, axis=1, kind="stable")[:, : Q - 1]
         gis = GlobalItemSimilarity(
             sim=sim,
-            neighbours=order.astype(np.intp),
+            neighbours=np.empty((sim.shape[0], 0), dtype=np.intp),
             threshold=float(threshold),
             centering=centering,
         )

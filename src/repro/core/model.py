@@ -165,7 +165,9 @@ class CFSF(Recommender):
 
         Each stage is traced as a child span of ``model.fit``
         (``gis.build``, ``cluster.fit``, ``smooth.apply``,
-        ``icluster.build``) when an observability registry is active —
+        ``icluster.build``, and ``gis.order``: the top-M neighbour
+        order the online kernel's cache is cut from) when an
+        observability registry is active —
         see :mod:`repro.obs` — so per-stage offline timings are
         measurable without ad-hoc stopwatches.
         """
@@ -195,9 +197,9 @@ class CFSF(Recommender):
                 shrinkage=cfg.smoothing_shrinkage,
             )
             self.icluster = build_icluster(self.smoothed, train.mask, train.values)
-        self._item_means = train.item_means()
-        self._global_mean = train.global_mean()
-        self.build_online_kernel()
+            self._item_means = train.item_means()
+            self._global_mean = train.global_mean()
+            self.build_online_kernel()
         return self
 
     def build_online_kernel(self) -> None:

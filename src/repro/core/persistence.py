@@ -3,7 +3,7 @@
 The offline phase is the expensive part of CFSF by design; a serving
 deployment fits once in the backend and ships the artefacts to request
 handlers.  This module serialises the entire fitted state — the
-training matrix, the GIS (similarities + sorted neighbour lists), the
+training matrix, the GIS (similarities + the top-M neighbour order), the
 clustering, the smoothing output, and the iCluster index — into a
 single compressed ``.npz`` alongside the JSON-encoded configuration,
 and restores a bit-identical model.
@@ -238,9 +238,13 @@ def load_model(path: str) -> CFSF:
     scale = tuple(meta["rating_scale"])
     train = RatingMatrix(data["train_values"], data["train_mask"], rating_scale=scale)
     model._train = train
+    # A snapshot written before the order was cut to the cache width
+    # holds the full (Q, Q-1) order; every prefix of it is the same
+    # selection, so keep only the width the model serves.
+    width = int(meta["nbr_cache_m"]) if int(version) >= 2 else config.top_m_items
     model.gis = GlobalItemSimilarity(
         sim=data["gis_sim"],
-        neighbours=data["gis_neighbours"].astype(np.intp),
+        neighbours=data["gis_neighbours"][:, :width].astype(np.intp),
         threshold=float(meta["gis_threshold"]),
         centering=meta["gis_centering"],
     )

@@ -172,6 +172,18 @@ def _user_activity(cfg: SyntheticConfig, rng: np.random.Generator) -> np.ndarray
     return counts.astype(np.intp)
 
 
+def _watch_probabilities(popularity: np.ndarray, affinity: np.ndarray) -> np.ndarray:
+    """``(P, Q)`` per-user softmax of log-popularity plus scaled affinity.
+
+    One array op over all users; each row is bit-identical to the
+    softmax of that user's row alone.
+    """
+    logits = np.log(popularity) + 0.35 * affinity / (affinity.std(axis=1, keepdims=True) + 1e-12)
+    p = np.exp(logits - logits.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
+    return p
+
+
 def make_movielens_like(
     config: SyntheticConfig | None = None,
     *,
@@ -246,12 +258,9 @@ def make_movielens_like(
     mask = np.zeros((cfg.n_users, cfg.n_items), dtype=bool)
     # Users preferentially watch popular items *and* items they like:
     # a soft-max blend of popularity and (noise-free) affinity.
-    affinity = true_scores - true_scores.mean(axis=1, keepdims=True)
+    p = _watch_probabilities(popularity, true_scores - true_scores.mean(axis=1, keepdims=True))
     for u in range(cfg.n_users):
-        logits = np.log(popularity) + 0.35 * affinity[u] / (affinity[u].std() + 1e-12)
-        p = np.exp(logits - logits.max())
-        p /= p.sum()
-        chosen = rng.choice(cfg.n_items, size=counts[u], replace=False, p=p)
+        chosen = rng.choice(cfg.n_items, size=counts[u], replace=False, p=p[u])
         mask[u, chosen] = True
 
     # --- observed ratings -----------------------------------------------------

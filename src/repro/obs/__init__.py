@@ -14,7 +14,7 @@ where the time goes:
   (:func:`get_registry` / :func:`set_registry` / :func:`use_registry`)
   and the free :func:`span` context manager the offline pipeline is
   instrumented with (``model.fit`` → ``gis.build`` / ``cluster.fit``
-  / ``smooth.apply`` / ``icluster.build``).
+  / ``smooth.apply`` / ``icluster.build`` / ``gis.order``).
 * :mod:`~repro.obs.exposition` — :func:`render_json` and
   :func:`render_prometheus`, reachable via ``python -m repro metrics``
   and :meth:`repro.serving.PredictionService.health`.

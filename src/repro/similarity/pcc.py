@@ -26,7 +26,7 @@ Both are exact (no sampling, no approximation) and fully vectorised.
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -102,35 +102,23 @@ def pairwise_pcc(
         counts = W.sum(axis=0)
         with np.errstate(invalid="ignore"):
             col_means = np.where(counts > 0, R.sum(axis=0) / np.maximum(counts, 1.0), 0.0)
-        Rc = (R - col_means[None, :]) * W
+        Rc = R - col_means[None, :]
+        Rc *= W
         Rc2 = Rc * Rc
         num = Rc.T @ Rc
-        den1 = Rc2.T @ W
-        den2 = W.T @ Rc2
-        denom = np.sqrt(den1 * den2)
+        denom = Rc2.T @ W
+        denom *= W.T @ Rc2
+        np.sqrt(denom, out=denom)
     elif centering == "corated_mean":
         Sxy = R.T @ R
         Sx = R.T @ W
-        Sy = Sx.T
         R2 = R * R
         Sxx = R2.T @ W
-        Syy = Sxx.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv_n = np.where(n > 0, 1.0 / np.maximum(n, 1.0), 0.0)
-            num = Sxy - Sx * Sy * inv_n
-            varx = Sxx - Sx * Sx * inv_n
-            vary = Syy - Sy * Sy * inv_n
-        # Tiny negative variances from floating-point cancellation.
-        np.maximum(varx, 0.0, out=varx)
-        np.maximum(vary, 0.0, out=vary)
-        denom = np.sqrt(varx * vary)
+        num, denom = _corated_terms(Sxy, Sx, Sx.T, Sxx, Sxx.T, n)
     else:  # pragma: no cover - guarded by Literal type but kept for runtime safety
         raise ValueError(f"unknown centering {centering!r}")
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-    sim[n < min_overlap] = 0.0
-    np.clip(sim, -1.0, 1.0, out=sim)
+    sim = _pcc_tail(num, denom, n, min_overlap)
     np.fill_diagonal(sim, 1.0)
     return sim
 
@@ -182,50 +170,108 @@ def pcc_to_rows(
     :func:`pairwise_pcc` applied to the stacked transpose, restricted
     to query-vs-reference pairs.
     """
-    qv = check_rating_matrix(query_values, "query_values")
-    qm = check_mask(query_mask, qv.shape, "query_mask")
-    rv = check_rating_matrix(values, "values")
-    rm = check_mask(mask, rv.shape, "mask")
-    if qv.shape[1] != rv.shape[1]:
+    query = _RowSide.of(query_values, query_mask, centering, prefix="query_")
+    ref = _RowSide.of(values, mask, centering)
+    if query.values.shape[1] != ref.values.shape[1]:
         raise ValueError(
-            f"query has {qv.shape[1]} items but reference has {rv.shape[1]}"
+            f"query has {query.values.shape[1]} items but reference has {ref.values.shape[1]}"
         )
+    return _pcc_rows(query, query.fixed_terms(ref.weights), ref, min_overlap)
 
-    Q = np.where(qm, qv, 0.0)
-    Wq = qm.astype(np.float64)
-    R = np.where(rm, rv, 0.0)
-    Wr = rm.astype(np.float64)
-    n = Wq @ Wr.T
 
-    if centering == "global_mean":
-        q_counts = Wq.sum(axis=1)
-        r_counts = Wr.sum(axis=1)
-        with np.errstate(invalid="ignore"):
-            q_means = np.where(q_counts > 0, Q.sum(axis=1) / np.maximum(q_counts, 1.0), 0.0)
-            r_means = np.where(r_counts > 0, R.sum(axis=1) / np.maximum(r_counts, 1.0), 0.0)
-        Qc = (Q - q_means[:, None]) * Wq
-        Rc = (R - r_means[:, None]) * Wr
-        num = Qc @ Rc.T
-        den1 = (Qc * Qc) @ Wr.T
-        den2 = Wq @ (Rc * Rc).T
-        denom = np.sqrt(den1 * den2)
-    elif centering == "corated_mean":
-        Sxy = Q @ R.T
-        Sx = Q @ Wr.T
-        Sy = Wq @ R.T
-        Sxx = (Q * Q) @ Wr.T
-        Syy = Wq @ (R * R).T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            inv_n = np.where(n > 0, 1.0 / np.maximum(n, 1.0), 0.0)
-            num = Sxy - Sx * Sy * inv_n
-            varx = np.maximum(Sxx - Sx * Sx * inv_n, 0.0)
-            vary = np.maximum(Syy - Sy * Sy * inv_n, 0.0)
-        denom = np.sqrt(varx * vary)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown centering {centering!r}")
+class _RowSide(NamedTuple):
+    """One side of :func:`pcc_to_rows`, masked (and centred) once.
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sim = np.where(denom > 0.0, num / np.where(denom > 0.0, denom, 1.0), 0.0)
-    sim[n < min_overlap] = 0.0
-    np.clip(sim, -1.0, 1.0, out=sim)
-    return sim
+    ``values`` is centred on each row's observed mean under
+    ``global_mean`` and raw under ``corated_mean``; either way it is
+    zero where unrated, and ``squares`` is its elementwise square.
+    """
+
+    weights: np.ndarray
+    values: np.ndarray
+    squares: np.ndarray
+    centering: Centering
+
+    @classmethod
+    def of(
+        cls, values: np.ndarray, mask: np.ndarray, centering: Centering, *, prefix: str = ""
+    ) -> "_RowSide":
+        values = check_rating_matrix(values, f"{prefix}values")
+        mask = check_mask(mask, values.shape, f"{prefix}mask")
+        X = np.where(mask, values, 0.0)
+        W = mask.astype(np.float64)
+        if centering == "global_mean":
+            counts = W.sum(axis=1)
+            with np.errstate(invalid="ignore"):
+                means = np.where(counts > 0, X.sum(axis=1) / np.maximum(counts, 1.0), 0.0)
+            X = X - means[:, None]
+            X *= W
+        elif centering != "corated_mean":  # pragma: no cover
+            raise ValueError(f"unknown centering {centering!r}")
+        return cls(W, X, X * X, centering)
+
+    def fixed_terms(self, ref_weights: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The products that need only this side and the reference mask.
+
+        ``(n, den1)`` under ``global_mean``, ``(n, Sx, Sxx)`` under
+        ``corated_mean``: reusable while the reference rows' values
+        change but their mask does not (k-means' centroids).
+        """
+        n = self.weights @ ref_weights.T
+        if self.centering == "global_mean":
+            return n, self.squares @ ref_weights.T
+        return n, self.values @ ref_weights.T, self.squares @ ref_weights.T
+
+
+def _pcc_rows(
+    query: _RowSide, fixed: tuple[np.ndarray, ...], ref: _RowSide, min_overlap: int
+) -> np.ndarray:
+    """:func:`pcc_to_rows` from prepared sides: the reference products."""
+    if query.centering == "global_mean":
+        n, denom = fixed
+        num = query.values @ ref.values.T
+        denom = denom * (query.weights @ ref.squares.T)
+        np.sqrt(denom, out=denom)
+    else:
+        n, Sx, Sxx = fixed
+        Sxy = query.values @ ref.values.T
+        Sy = query.weights @ ref.values.T
+        Syy = query.weights @ ref.squares.T
+        num, denom = _corated_terms(Sxy, Sx, Sy, Sxx, Syy, n)
+    return _pcc_tail(num, denom, n, min_overlap)
+
+
+def _corated_terms(
+    Sxy: np.ndarray,
+    Sx: np.ndarray,
+    Sy: np.ndarray,
+    Sxx: np.ndarray,
+    Syy: np.ndarray,
+    n: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Co-rated covariance and ``sqrt(varx * vary)`` from the Gram sums."""
+    inv_n = np.zeros_like(n)
+    np.divide(1.0, n, out=inv_n, where=n > 0)
+    num = Sx * Sy
+    num *= inv_n
+    np.subtract(Sxy, num, out=num)
+    varx = Sx * Sx
+    varx *= inv_n
+    np.subtract(Sxx, varx, out=varx)
+    vary = Sy * Sy
+    vary *= inv_n
+    np.subtract(Syy, vary, out=vary)
+    # Tiny negative variances from floating-point cancellation.
+    np.maximum(varx, 0.0, out=varx)
+    np.maximum(vary, 0.0, out=vary)
+    varx *= vary
+    return num, np.sqrt(varx, out=varx)
+
+
+def _pcc_tail(
+    num: np.ndarray, denom: np.ndarray, n: np.ndarray, min_overlap: int
+) -> np.ndarray:
+    """``num / denom`` where defined and ``n >= min_overlap``, else 0; in [-1, 1]."""
+    sim = np.zeros_like(num)
+    np.divide(num, denom, out=sim, where=(denom > 0.0) & (n >= min_overlap))
+    return np.clip(sim, -1.0, 1.0, out=sim)

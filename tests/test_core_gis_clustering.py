@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core import build_gis, cluster_users
-from repro.similarity import item_pcc
+from repro.core.clustering import _compute_centroids
+from repro.data import RatingMatrix
+from repro.similarity import item_pcc, pcc_to_rows
+from repro.utils.rng import as_generator
 
 
 class TestBuildGis:
@@ -16,14 +19,17 @@ class TestBuildGis:
 
     def test_neighbours_sorted_descending(self, ml_small):
         gis = build_gis(ml_small)
+        order = gis.order(ml_small.n_items)
         for item in (0, 7, 42):
-            sims = gis.sim[item, gis.neighbours[item]]
+            sims = gis.sim[item, order[item]]
             assert (np.diff(sims) <= 1e-12).all()
 
     def test_neighbours_exclude_self(self, ml_small):
         gis = build_gis(ml_small)
+        order = gis.order(ml_small.n_items)
+        assert order.shape == (ml_small.n_items, ml_small.n_items - 1)
         for item in range(ml_small.n_items):
-            assert item not in gis.neighbours[item]
+            assert item not in order[item]
 
     def test_top_m_positive_only(self, ml_small):
         gis = build_gis(ml_small)
@@ -120,3 +126,99 @@ class TestClusterUsers:
         rng = np.random.default_rng(1)
         p_rand = purity(rng.integers(0, 4, size=90), ds.user_group)
         assert p > p_rand + 0.15
+
+
+def _kmeans_reference(train, n_clusters, *, seed, max_iter, centering, min_overlap=2):
+    """K-means calling ``pcc_to_rows`` afresh every iteration.
+
+    The straightforward loop ``cluster_users`` replaces; returns the
+    clusters' fields and how many empty clusters it repaired.
+    """
+    rng = as_generator(seed)
+    P = train.n_users
+    L = min(n_clusters, P)
+    seeds = rng.choice(P, size=L, replace=False)
+    labels = np.full(P, -1, dtype=np.intp)
+    labels[seeds] = np.arange(L)
+    seed_counts = train.mask[seeds].sum(axis=1)
+    seed_means = np.where(
+        seed_counts > 0,
+        train.values[seeds].sum(axis=1) / np.maximum(seed_counts, 1),
+        train.global_mean(),
+    )
+    centroids = np.where(train.mask[seeds], train.values[seeds], seed_means[:, None])
+    repairs = 0
+
+    def sims_to(c):
+        return pcc_to_rows(
+            train.values, train.mask, c, np.ones_like(c, dtype=bool),
+            centering=centering, min_overlap=min_overlap,
+        )
+
+    for _ in range(max_iter):
+        sims = sims_to(centroids)
+        new_labels = np.argmax(sims, axis=1)
+        counts = np.bincount(new_labels, minlength=L)
+        own_sim = sims[np.arange(P), new_labels].copy()
+        for c in np.nonzero(counts == 0)[0]:
+            sizes = np.bincount(new_labels, minlength=L)
+            candidates = np.nonzero(sizes[new_labels] > 1)[0]
+            worst = candidates[np.argmin(own_sim[candidates])]
+            new_labels[worst] = c
+            own_sim[worst] = np.inf
+            repairs += 1
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        centroids = _compute_centroids(train, labels, L)
+    centroids = _compute_centroids(train, labels, L)
+    return labels, centroids, sims_to(centroids), repairs
+
+
+class TestClusterUsersMatchesPerIterationPcc:
+    """The prepared user side changes no bit of the k-means result."""
+
+    @pytest.mark.parametrize("centering", ["global_mean", "corated_mean"])
+    @pytest.mark.parametrize(
+        "n_clusters,seed,max_iter", [(8, 0, 30), (8, 5, 30), (30, 1, 30), (8, 0, 1), (8, 0, 2)]
+    )
+    def test_equal_to_reference(self, ml_small, centering, n_clusters, seed, max_iter):
+        got = cluster_users(
+            ml_small, n_clusters, seed=seed, max_iter=max_iter, centering=centering
+        )
+        labels, centroids, sims, _ = _kmeans_reference(
+            ml_small, n_clusters, seed=seed, max_iter=max_iter, centering=centering
+        )
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.centroids, centroids)
+        np.testing.assert_array_equal(got.similarities, sims)
+
+    @pytest.mark.parametrize("centering", ["global_mean", "corated_mean"])
+    def test_equal_when_every_user_seeds_a_cluster(self, tiny_rm, centering):
+        got = cluster_users(tiny_rm, 10, seed=0, centering=centering)
+        assert got.converged and got.n_iter == 1
+        labels, centroids, sims, _ = _kmeans_reference(
+            tiny_rm, 10, seed=0, max_iter=30, centering=centering
+        )
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.centroids, centroids)
+        np.testing.assert_array_equal(got.similarities, sims)
+
+    @pytest.mark.parametrize("centering", ["global_mean", "corated_mean"])
+    def test_equal_through_empty_cluster_repairs(self, ml_small, centering):
+        # Every user twice: seeds drawn from a duplicated pair give two
+        # identical centroids, the second of which wins no user.
+        doubled = RatingMatrix(
+            np.repeat(ml_small.values[:12], 2, axis=0),
+            np.repeat(ml_small.mask[:12], 2, axis=0),
+            rating_scale=ml_small.rating_scale,
+        )
+        got = cluster_users(doubled, 16, seed=0, centering=centering, min_overlap=3)
+        labels, centroids, sims, repairs = _kmeans_reference(
+            doubled, 16, seed=0, max_iter=30, centering=centering, min_overlap=3
+        )
+        assert repairs >= 1
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.centroids, centroids)
+        np.testing.assert_array_equal(got.similarities, sims)

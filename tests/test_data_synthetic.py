@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.data import SyntheticConfig, make_movielens_like, make_timestamped
+from repro.data.synthetic import _item_popularity, _watch_probabilities
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,25 @@ class TestTableIStatistics:
 
     def test_global_mean_plausible(self, full_dataset):
         assert 3.2 < full_dataset.ratings.global_mean() < 3.9
+
+
+def _per_user_softmax(popularity, affinity, u):
+    """The generator's watch probabilities, one user at a time."""
+    logits = np.log(popularity) + 0.35 * affinity[u] / (affinity[u].std() + 1e-12)
+    p = np.exp(logits - logits.max())
+    p /= p.sum()
+    return p
+
+
+@pytest.mark.parametrize("n_items", [1000, 37])
+def test_watch_probabilities_equal_the_per_user_formula(full_dataset, n_items):
+    cfg = SyntheticConfig(n_items=n_items, mean_ratings_per_user=30, min_ratings_per_user=5)
+    popularity = _item_popularity(cfg, np.random.default_rng(3))
+    scores = full_dataset.true_scores[:, :n_items]
+    affinity = scores - scores.mean(axis=1, keepdims=True)
+    p = _watch_probabilities(popularity, affinity)
+    for u in range(affinity.shape[0]):
+        np.testing.assert_array_equal(p[u], _per_user_softmax(popularity, affinity, u))
 
 
 class TestDeterminismAndKnobs:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import CFSF
 from repro.core.gis import NeighborCache, build_gis
-from repro.core.persistence import load_model, save_model
+from repro.core.persistence import _content_digest, load_model, save_model
 from repro.data import default_dataset, make_split
 
 
@@ -97,3 +97,45 @@ def test_cache_survives_snapshot_roundtrip(tmp_path, small_split):
         loaded.predict_many(small_split.given, users[:n], items[:n]),
         model.predict_many(small_split.given, users[:n], items[:n]),
     )
+
+
+def _full_order(sim: np.ndarray) -> np.ndarray:
+    """The ``(Q, Q-1)`` order snapshots carried before it was cut to M."""
+    masked = sim.copy()
+    np.fill_diagonal(masked, -np.inf)
+    return np.argsort(-masked, axis=1, kind="stable")[:, : sim.shape[0] - 1]
+
+
+def test_snapshot_stores_the_order_at_cache_width(tmp_path, small_split):
+    model = CFSF(top_m_items=20).fit(small_split.train)
+    path = str(tmp_path / "model.npz")
+    save_model(model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        stored = archive["gis_neighbours"]
+    assert stored.shape == (small_split.train.n_items, 20)
+    np.testing.assert_array_equal(stored, _full_order(model.gis.sim)[:, :20])
+
+
+def test_snapshot_with_a_full_order_loads_and_serves(tmp_path, small_split):
+    model = CFSF(top_m_items=20).fit(small_split.train)
+    path = str(tmp_path / "model.npz")
+    save_model(model, path)
+    with np.load(path, allow_pickle=False) as archive:
+        data = {name: archive[name] for name in archive.files}
+    data["gis_neighbours"] = _full_order(model.gis.sim)
+    arrays = {k: v for k, v in data.items() if k not in ("meta", "checksum")}
+    data["checksum"] = np.array(_content_digest(str(data["meta"]), arrays))
+    old = str(tmp_path / "old.npz")
+    np.savez_compressed(old, **data)
+
+    loaded = load_model(old)
+    Q = small_split.train.n_items
+    assert loaded.gis.neighbours.shape == (Q, 20)
+    np.testing.assert_array_equal(loaded.gis.neighbours, model.gis.neighbours)
+    users, items, _ = small_split.targets_arrays()
+    np.testing.assert_array_equal(
+        loaded.predict_many(small_split.given, users, items),
+        model.predict_many(small_split.given, users, items),
+    )
+    # Widening past the stored width selects from the GIS again.
+    np.testing.assert_array_equal(loaded.gis.order(40), _full_order(model.gis.sim)[:, :40])

@@ -47,10 +47,11 @@ class TestOfflineSpans:
             "cluster.fit",
             "smooth.apply",
             "icluster.build",
+            "gis.order",
         }
         root = by_name["model.fit"]
         assert root["parent"] is None and root["depth"] == 0
-        for child in ("gis.build", "cluster.fit", "smooth.apply", "icluster.build"):
+        for child in ("gis.build", "cluster.fit", "smooth.apply", "icluster.build", "gis.order"):
             assert by_name[child]["parent"] == "model.fit", child
             assert by_name[child]["depth"] == 1
         # Children are nested in time, not just in name.
@@ -64,6 +65,7 @@ class TestOfflineSpans:
         by_name = {rec["name"]: rec for rec in registry.spans()}
         assert by_name["gis.build"]["attrs"]["n_items"] == split_small.train.n_items
         assert "sparsity" in by_name["gis.build"]["attrs"]
+        assert by_name["gis.order"]["attrs"]["width"] == 30
         assert by_name["cluster.fit"]["attrs"]["n_clusters"] == 8
         assert by_name["cluster.fit"]["attrs"]["n_iter"] >= 1
         assert 0.0 <= by_name["smooth.apply"]["attrs"]["smoothed_fraction"] <= 1.0
