@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.baselines.base import Recommender, fallback_baseline
 from repro.core.fusion import fusion_weights
+from repro.core.gis import _top_m_order
 from repro.data.matrix import RatingMatrix
 from repro.similarity import item_pcc, pcc_to_rows, top_k_indices
 from repro.utils.validation import check_fraction, check_positive_int
@@ -72,14 +73,16 @@ class SimilarityFusion(Recommender):
         return "SF"
 
     def fit(self, train: RatingMatrix) -> "SimilarityFusion":
-        """Precompute the item–item PCC and its top-M neighbour lists."""
+        """Precompute the item–item PCC and its top-M neighbour lists.
+
+        A list holds at most ``Q - 1`` items: an item is never its own
+        neighbour.
+        """
         super().fit(train)
         sim = item_pcc(train.values, train.mask)
-        np.fill_diagonal(sim, -np.inf)
-        order = np.argsort(-sim, axis=1, kind="stable")[:, : self.top_m_items]
+        self._item_nbr = _top_m_order(sim, min(self.top_m_items, train.n_items - 1))
         np.fill_diagonal(sim, 1.0)
         self._item_sim = sim
-        self._item_nbr = order.astype(np.intp)
         self._user_means = train.user_means()
         self._item_means = train.item_means()
         self._dev = (train.values - self._user_means[:, None]) * train.mask

@@ -237,7 +237,7 @@ class GlobalItemSimilarity:
         return int(self.sim.nbytes + self.neighbours.nbytes)
 
 
-def _top_m_order(sim: np.ndarray, m: int) -> np.ndarray:
+def _top_m_order(sim: np.ndarray, m: int, rows: np.ndarray | None = None) -> np.ndarray:
     """Each row's ``m`` most similar other columns, by descending value.
 
     Equal to ``np.argsort(-masked, axis=1, kind="stable")[:, :m]`` with
@@ -246,13 +246,18 @@ def _top_m_order(sim: np.ndarray, m: int) -> np.ndarray:
     entry at or above its ``m``-th largest value; when ties at that value
     make more than ``m``, the tied entries of lowest index fill the row,
     as a stable sort would.  The kept ``m`` entries, in index order, are
-    then stable-sorted, which keeps ties in index order.
+    then stable-sorted, which keeps ties in index order.  *rows*, when
+    given, limits the selection to those rows of *sim*; each still
+    excludes its own column.
     """
-    Q = sim.shape[0]
+    full = rows is None
+    if full:
+        rows = np.arange(sim.shape[0])
+    n = rows.size
     if m == 0:
-        return np.empty((Q, 0), dtype=np.intp)
-    neg = np.negative(sim)
-    np.fill_diagonal(neg, np.inf)
+        return np.empty((n, 0), dtype=np.intp)
+    neg = np.negative(sim if full else sim[rows])
+    neg[np.arange(n), rows] = np.inf
     cut = np.partition(neg, m - 1, axis=1)[:, m - 1 : m]
     keep = neg <= cut
     tied = np.flatnonzero(np.count_nonzero(keep, axis=1) > m)
@@ -261,7 +266,7 @@ def _top_m_order(sim: np.ndarray, m: int) -> np.ndarray:
         at = keep[tied] & ~above
         room = m - np.count_nonzero(above, axis=1)
         keep[tied] = above | (at & (np.cumsum(at, axis=1) <= room[:, None]))
-    cols = np.nonzero(keep)[1].reshape(Q, m)
+    cols = np.nonzero(keep)[1].reshape(n, m)
     ranks = np.argsort(np.take_along_axis(neg, cols, axis=1), axis=1, kind="stable")
     return np.take_along_axis(cols, ranks, axis=1)
 

@@ -19,14 +19,17 @@ cannot be maintained pair-locally.  The accuracy impact of the variant
 switch is measured in ``bench_ext_incremental``.
 
 Neighbour rankings (the sorted GIS rows the online phase slices) are
-re-derived lazily per dirty item, so a burst of updates costs one sort
-per touched item at the next read, not per update.
+re-derived lazily per dirty item, so a burst of updates costs one
+top-M selection per touched item at the next read, not per update.
+Like :meth:`GlobalItemSimilarity.order`, the ranking is only as wide
+as the widest ``top_m`` asked for so far; no row is sorted in full.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.gis import _top_m_order
 from repro.data.matrix import RatingMatrix
 from repro.similarity import pairwise_pcc
 from repro.utils.validation import check_positive_int
@@ -65,9 +68,8 @@ class IncrementalGIS:
         self._sxx = R2.T @ W
         # Σy/Σyy are the transposes of Σx/Σxx by symmetry; not stored.
 
-        Q = train.n_items
-        self._dirty = np.zeros(Q, dtype=bool)
-        self._neighbours = self._full_neighbour_sort(self.full_sim())
+        self._dirty = np.zeros(train.n_items, dtype=bool)
+        self._rank_from_scratch()
         self.n_updates = 0
 
     # ------------------------------------------------------------------
@@ -210,20 +212,27 @@ class IncrementalGIS:
     def top_m(self, item: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         """Top-M neighbour slice, refreshing the item's ranking lazily."""
         check_positive_int(m, "m")
+        sims = self.sim_row(item)
+        width = self._neighbours.shape[1]
         if self._dirty[item]:
-            sims = self.sim_row(item)
-            sims[item] = -np.inf
-            self._neighbours[item] = np.argsort(-sims, kind="stable")[: self.n_items - 1]
+            self._rank_sim[item] = sims
+            if width:
+                self._neighbours[item] = _top_m_order(self._rank_sim, width, rows=np.array([item]))
             self._dirty[item] = False
+        if width < min(m, self.n_items - 1):
+            self._neighbours = _top_m_order(self._rank_sim, min(m, self.n_items - 1))
         cand = self._neighbours[item][:m]
-        sims = self.sim_row(item)[cand]
+        sims = sims[cand]
         keep = sims > 0.0
         return cand[keep], sims[keep]
 
-    def _full_neighbour_sort(self, sim: np.ndarray) -> np.ndarray:
-        masked = sim.copy()
-        np.fill_diagonal(masked, -np.inf)
-        return np.argsort(-masked, axis=1, kind="stable")[:, : self.n_items - 1].astype(np.intp)
+    def _rank_from_scratch(self) -> None:
+        # The similarities each row's ranking was taken from: the full
+        # matrix here, a dirty row's sim_row once top_m re-ranks it.
+        # Widening re-selects from these, so a wider order keeps every
+        # narrower prefix.
+        self._rank_sim = self.full_sim()
+        self._neighbours = np.empty((self.n_items, 0), dtype=np.intp)
 
     def rebuild(self) -> None:
         """Full recompute of statistics and rankings (drift barrier).
@@ -239,5 +248,5 @@ class IncrementalGIS:
         self._sx = R.T @ W
         self._sxy = R.T @ R
         self._sxx = R2.T @ W
-        self._neighbours = self._full_neighbour_sort(self.full_sim())
+        self._rank_from_scratch()
         self._dirty[:] = False

@@ -395,41 +395,27 @@ class CFSF(Recommender):
             return np.empty(0, dtype=np.float64)
         self._require_online()
         kernel = self._require_kernel()
-        out = np.empty(users.shape, dtype=np.float64)
-
+        # Fuse user-sorted runs as blocks; the live-traffic shape (one
+        # user, or requests a router grouped) is already sorted, so
+        # only a shuffled batch pays the argsort and the scatter back.
+        order = None
         diffs = np.diff(users)
-        boundaries = np.nonzero(diffs)[0]
-        if boundaries.size == 0:
-            # Single-user batch (the common live-traffic shape): skip
-            # the sort/split bookkeeping entirely.
-            prepared = self.active_user_state(given, int(users[0])).prepared
-            return self._clip(kernel.fuse_many([(prepared, items)]))
-
-        if (diffs[boundaries] > 0).all():
-            # Already user-sorted (the live-traffic shape after a
-            # router groups requests): contiguous runs are the blocks
-            # and the fused output is already in request order, so the
-            # argsort / scatter bookkeeping drops out entirely.
-            edges = [0, *(boundaries + 1).tolist(), users.size]
-            fuse_blocks = []
-            for start, stop in zip(edges[:-1], edges[1:]):
-                prepared = self.active_user_state(given, int(users[start])).prepared
-                fuse_blocks.append((prepared, items[start:stop]))
-            return self._clip(kernel.fuse_many(fuse_blocks))
-
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        blocks = np.split(np.arange(users.size)[order], boundaries)
-        fuse_blocks = []
-        for block in blocks:
-            prepared = self.active_user_state(given, int(users[block[0]])).prepared
-            fuse_blocks.append((prepared, items[block]))
-        fused = kernel.fuse_many(fuse_blocks)
-        pos = 0
-        for block in blocks:
-            out[block] = fused[pos : pos + block.size]
-            pos += block.size
-        return self._clip(out)
+        if (diffs < 0).any():
+            order = np.argsort(users, kind="stable")
+            users, items = users[order], items[order]
+            diffs = np.diff(users)
+        edges = [0, *(np.flatnonzero(diffs) + 1).tolist(), users.size]
+        fused = kernel.fuse_many(
+            [
+                (self.active_user_state(given, int(users[start])).prepared, items[start:stop])
+                for start, stop in zip(edges[:-1], edges[1:])
+            ]
+        )
+        if order is not None:
+            out = np.empty_like(fused)
+            out[order] = fused
+            fused = out
+        return self._clip(fused)
 
     def warm_online(self) -> None:
         """Ensure the online hot-path structures exist (idempotent).

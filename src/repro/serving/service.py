@@ -576,8 +576,7 @@ class PredictionService:
                     predictions[work_idx] = fast
                     levels[work_idx] = 0
                     if cache is not None:
-                        for ridx, val in zip(work_idx.tolist(), fast.tolist()):
-                            cache.put(miss_keys[ridx], val)
+                        cache.put_many([miss_keys[r] for r in work_idx.tolist()], fast.tolist())
                     work_idx = np.empty(0, dtype=np.intp)
             if work_idx.size:
                 w_users = users[work_idx]
@@ -604,8 +603,9 @@ class PredictionService:
                 )
                 levels[block] = level
                 if cache is not None and level == 0:
-                    for ridx in block.tolist():
-                        cache.put(miss_keys[ridx], float(predictions[ridx]))
+                    cache.put_many(
+                        [miss_keys[r] for r in block.tolist()], predictions[block].tolist()
+                    )
 
         elapsed = self._clock() - t0
         n_deferred = int(deferred.sum()) if deadline_hit else 0

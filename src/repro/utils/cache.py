@@ -126,14 +126,33 @@ class LRUCache:
 
     def put(self, key: Hashable, value: Any) -> None:
         """Insert/overwrite *key*, evicting the LRU entry when full."""
+        self.put_many((key,), (value,))
+
+    def put_many(self, keys: Sequence[Hashable], values: Sequence[Any]) -> None:
+        """:meth:`put` for each ``(key, value)`` pair in turn, under one lock.
+
+        Contents, recency order and evictions are those of sequential
+        :meth:`put` calls; a batch of writes just takes the mutex once
+        instead of once per key.
+
+        >>> cache = LRUCache(maxsize=2)
+        >>> cache.put_many(["a", "b", "a", "c"], [1, 2, 3, 4])
+        >>> list(cache)            # "b" was the least recently written
+        ['a', 'c']
+        >>> cache.get("a")
+        3
+        """
         if self._maxsize == 0:
             return
+        data = self._data
+        move_to_end = data.move_to_end
         with self._mutex:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            if len(self._data) > self._maxsize:
-                self._data.popitem(last=False)
+            for key, value in zip(keys, values):
+                if key in data:
+                    move_to_end(key)
+                data[key] = value
+                if len(data) > self._maxsize:
+                    data.popitem(last=False)
 
     def discard(self, key: Hashable) -> None:
         """Remove *key* if present (a missing key is not an error).

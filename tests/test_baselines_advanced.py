@@ -17,6 +17,7 @@ from repro.baselines import (
 )
 from repro.data import RatingMatrix
 from repro.eval import mae
+from repro.similarity import item_pcc
 
 
 def _score(model, split):
@@ -52,6 +53,23 @@ class TestSimilarityFusion:
             a.predict_many(split_small.given, users[:40], items[:40]),
             b.predict_many(split_small.given, users[:40], items[:40]),
         )
+
+    def test_neighbour_lists_equal_a_stable_full_sort_on_ties(self):
+        """The top-M selection keeps what a stable argsort of each full
+        row keeps, ties included, capped at Q - 1 (no self-neighbour)."""
+        rng = np.random.default_rng(3)
+        values = rng.integers(1, 6, size=(9, 6)).astype(float)
+        mask = rng.random((9, 6)) < 0.8
+        copies = rng.integers(0, 6, size=40)  # duplicated columns: exact ties
+        train = RatingMatrix(values[:, copies], mask[:, copies])
+        sim = item_pcc(train.values, train.mask)
+        np.fill_diagonal(sim, -np.inf)
+        ties = np.count_nonzero(np.diff(np.sort(sim, axis=1), axis=1) == 0)
+        assert ties > sim.size // 2
+        full = np.argsort(-sim, axis=1, kind="stable")
+        for m in (1, 7, 39, 60):
+            model = SimilarityFusion(top_m_items=m).fit(train)
+            np.testing.assert_array_equal(model._item_nbr, full[:, : min(m, 39)])
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -127,3 +127,72 @@ class TestTopM:
         u, i = np.argwhere(~small_matrix.mask)[0]
         gis.add_rating(int(u), int(i), 3.0)
         assert gis.n_updates == 1
+
+
+class FullSortGIS(IncrementalGIS):
+    """The reference ranking: every row stable-argsorted in full, at
+    construction, on ``rebuild()`` and when ``top_m`` reads a dirty row."""
+
+    def __init__(self, train: RatingMatrix) -> None:
+        super().__init__(train)
+        self._full = self._sort(self.full_sim())
+
+    def _sort(self, sim: np.ndarray) -> np.ndarray:
+        masked = sim.copy()
+        np.fill_diagonal(masked, -np.inf)
+        return np.argsort(-masked, axis=1, kind="stable")[:, : self.n_items - 1]
+
+    def top_m(self, item: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._dirty[item]:
+            sims = self.sim_row(item)
+            sims[item] = -np.inf
+            self._full[item] = np.argsort(-sims, kind="stable")[: self.n_items - 1]
+            self._dirty[item] = False
+        cand = self._full[item][:m]
+        sims = self.sim_row(item)[cand]
+        keep = sims > 0.0
+        return cand[keep], sims[keep]
+
+    def rebuild(self) -> None:
+        super().rebuild()
+        self._full = self._sort(self.full_sim())
+
+
+class TestRankingWidth:
+    def test_top_m_equals_the_full_sort_prefix(self, ml_small, rng):
+        """The top-M selection, widened on demand and re-ranked per dirty
+        row, returns what sorting every row in full returned."""
+        Q = ml_small.n_items
+        gis, ref = IncrementalGIS(ml_small), FullSortGIS(ml_small)
+
+        def update(n):
+            for _ in range(n):
+                u = int(rng.integers(0, gis.n_users))
+                i = int(rng.integers(0, Q))
+                r = float(rng.integers(1, 6))
+                for g in (gis, ref):
+                    if g.matrix().mask[u, i] and r < 2:
+                        g.remove_rating(u, i)
+                    else:
+                        g.add_rating(u, i, r)
+
+        def read(items, m):
+            for i in items:
+                got, want = gis.top_m(int(i), m), ref.top_m(int(i), m)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+
+        read(range(Q), 1)
+        assert gis._neighbours.shape == (Q, 1)
+        update(30)
+        read(range(0, Q, 2), 1)      # re-rank some dirty rows at width 1
+        read(range(Q), 95)           # widen, with other rows still dirty
+        assert gis._neighbours.shape == (Q, 95)
+        update(30)
+        read(range(Q), Q - 1)
+        read(range(Q), 95)
+        update(10)
+        gis.rebuild()
+        ref.rebuild()
+        for m in (1, 95, Q - 1):
+            read(range(Q), m)

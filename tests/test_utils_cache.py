@@ -141,3 +141,35 @@ class TestGetMany:
             batched.put(key, key)
         assert list(batched) == list(one_by_one)
 
+
+
+class TestPutMany:
+    """``put_many`` is sequential ``put`` under one lock."""
+
+    keys = st.lists(st.integers(0, 6), max_size=12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        maxsize=st.integers(0, 4),
+        stored=keys,
+        writes=st.lists(keys, max_size=4),
+        later=keys,
+    )
+    def test_matches_sequential_put(self, maxsize, stored, writes, later):
+        one_by_one, batched = LRUCache(maxsize), LRUCache(maxsize)
+        for cache in (one_by_one, batched):
+            for key in stored:
+                cache.put(key, f"v{key}")
+        for n, keys in enumerate(writes):
+            values = [f"w{n}.{key}" for key in keys]
+            for key, value in zip(keys, values):
+                one_by_one.put(key, value)
+            batched.put_many(keys, values)
+            # Same entries, values and recency order (so same evictions).
+            assert list(batched) == list(one_by_one)
+            assert [batched._data[k] for k in batched] == [one_by_one._data[k] for k in one_by_one]
+        assert (batched.hits, batched.misses) == (one_by_one.hits, one_by_one.misses)
+        for key in later:
+            one_by_one.put(key, key)
+            batched.put(key, key)
+        assert list(batched) == list(one_by_one)
