@@ -53,14 +53,23 @@ reply keeps the part of the ``Future`` API that callers use —
 Python 3.10, the built-in ``TimeoutError`` from 3.11).  It has no
 ``cancel()``: a queued request is always dispatched and answered.
 
-A dispatch builds its batch's answers in one pass: one ``tolist()``
-per result field, queue waits as one vectorised subtraction from the
-dispatch's clock reading, the replies put in the batch's user-sorted
-order by one ``operator.itemgetter``, and each
-:class:`BatchedPrediction` (a named tuple) made by
-``map(BatchedPrediction._make, zip(...))``.  When the request cache
-answers the whole batch, that pass and the cache probe are most of
-what a request costs (``docs/performance.md``, "Answer path").
+A dispatch answers its batch in at most two waves.  The service hands
+back the answers that are final before its fallback chain runs
+(request-cache hits and out-of-range requests) through
+``predict_many``'s ``on_final`` hook, and the dispatch resolves those
+replies at once, so a cached answer does not wait out the kernel pass
+over the batch's misses; the rest are resolved when ``predict_many``
+returns.  A batch the cache answers whole, or one with no final
+answer, is resolved in one wave.  An exception out of the service
+reaches only the replies not yet answered.  Each wave builds its
+answers in one pass: one ``tolist()`` per result field, queue waits
+from one vectorised subtraction off the dispatch's clock reading, the
+replies picked in the batch's user-sorted order by one
+``operator.itemgetter``, and each :class:`BatchedPrediction` (a named
+tuple) made by ``map(BatchedPrediction._make, zip(...))``.  When the
+request cache answers the whole batch, that pass and the cache probe
+are most of what a request costs (``docs/performance.md``, "Answer
+path").
 
 ``servebench/`` measures the result end to end (its ``hot_repeat``
 workload is this front under load), and
@@ -77,7 +86,7 @@ from collections import deque
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +94,7 @@ from repro.data.matrix import RatingMatrix
 from repro.obs import get_registry
 from repro.serving.errors import OverloadedError
 from repro.serving.pool import KernelPool
-from repro.serving.service import PredictionService
+from repro.serving.service import PredictionService, ServingResult
 from repro.utils.validation import check_positive_int
 
 __all__ = ["BatchedPrediction", "MicroBatcher", "Reply"]
@@ -218,7 +227,33 @@ class Reply:
                 self._call(fn)
 
 
-def _resolve(lock: threading.Lock, replies: list[Reply], outcomes: list) -> None:
+def _pick(seq: Sequence[Reply], idx: list[int]) -> Sequence[Reply]:
+    """The items of *seq* at *idx*, in that order, as a sequence."""
+    # (itemgetter of a single index returns the item, not a tuple.)
+    return itemgetter(*idx)(seq) if len(idx) > 1 else [seq[i] for i in idx]
+
+
+def _answers(
+    result: ServingResult, waits: np.ndarray, rows: np.ndarray | slice = slice(None)
+) -> list[BatchedPrediction]:
+    """The answers at *rows* of *result* and its parallel queue *waits*.
+
+    One ``tolist()`` per field and one C-level pass to build the
+    answers: per-request array indexing (or the ``degraded`` property,
+    which ORs four arrays) and keyword construction cost more than the
+    answer itself.
+    """
+    levels = result.fallback_level[rows].tolist()
+    return list(map(BatchedPrediction._make, zip(
+        result.predictions[rows].tolist(),
+        levels,
+        map(result.stage_names.__getitem__, levels),
+        result.degraded[rows].tolist(),
+        waits[rows].tolist(),
+    )))
+
+
+def _resolve(lock: threading.Lock, replies: Sequence[Reply], outcomes: list) -> None:
     """Set each reply's outcome under *lock*, then notify outside it."""
     watched = []
     with lock:
@@ -489,32 +524,40 @@ class MicroBatcher:
             coalesce = reg.histogram("serving.batcher.coalesce_wait")
             for wait in waits.tolist():
                 coalesce.observe(wait)
+        # Replies and queue waits in the user-sorted order the service
+        # answers in.
+        replies = _pick(batch, order.tolist())
+        waits = waits[order]
+        lock = self._reply_lock
+        pending = None  # once a first wave is answered: who still waits
+
+        def answer_final(rows: np.ndarray, early: ServingResult) -> None:
+            nonlocal pending
+            answers = _answers(early, waits[rows])
+            pending = np.ones(n, dtype=bool)
+            pending[rows] = False
+            _resolve(lock, _pick(replies, rows.tolist()), answers)
+
         try:
             with self._dispatch_slot():
-                result = self.service.predict_many(given, users[order], items[order])
+                result = self.service.predict_many(
+                    given, users[order], items[order], on_final=answer_final
+                )
         except BaseException as exc:  # noqa: BLE001 - fault must reach every caller
-            _resolve(self._reply_lock, batch, [exc] * n)
+            if pending is not None:
+                replies = _pick(replies, np.flatnonzero(pending).tolist())
+            _resolve(lock, replies, [exc] * len(replies))
             return
         with self._cond:
             self.dispatched_batches += 1
             self.dispatched_requests += n
         if reg.enabled:
             reg.counter("serving.batcher.dispatches").inc()
-        # One tolist() per field and one C-level pass to build the
-        # answers: per-request array indexing (or the ``degraded``
-        # property, which ORs four arrays) and keyword construction
-        # cost more than the answer itself.
-        # (itemgetter of a single index returns the item, not a tuple.)
-        replies = itemgetter(*order.tolist())(batch) if n > 1 else batch
-        levels = result.fallback_level.tolist()
-        answers = list(map(BatchedPrediction._make, zip(
-            result.predictions.tolist(),
-            levels,
-            map(result.stage_names.__getitem__, levels),
-            result.degraded.tolist(),
-            waits[order].tolist(),
-        )))
-        _resolve(self._reply_lock, replies, answers)
+        if pending is None:
+            _resolve(lock, replies, _answers(result, waits))
+        else:
+            rest = np.flatnonzero(pending)
+            _resolve(lock, _pick(replies, rest.tolist()), _answers(result, waits, rest))
 
     def _worker(self) -> None:
         while True:

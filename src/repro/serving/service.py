@@ -443,6 +443,7 @@ class PredictionService:
         items: np.ndarray | Sequence[int],
         *,
         deadline: float | None = None,
+        on_final: Callable[[np.ndarray, ServingResult], object] | None = None,
     ) -> ServingResult:
         """Serve a batch; every request is answered, degraded or not.
 
@@ -458,6 +459,17 @@ class PredictionService:
             runs out mid-batch, unserved per-user blocks fall through
             to the cheap user-mean stage and are flagged
             ``deadline_deferred``.
+        on_final:
+            Called as ``on_final(rows, early)`` before the chain runs,
+            when some requests need it and others are already answered:
+            request-cache hits and, in lenient mode, out-of-range
+            requests.  ``rows`` holds those requests' positions in the
+            batch (ascending) and ``early`` is a :class:`ServingResult`
+            over them, field for field what the returned result will
+            say at ``rows``.  The returned result still covers the
+            whole batch, and the counters count the call once, when it
+            returns.  The micro-batcher answers cache hits through it
+            without waiting out the kernel pass.
         """
         t0 = self._clock()
         if self.model is None:  # pragma: no cover - constructor guards this
@@ -560,6 +572,21 @@ class PredictionService:
                 cache_hits = valid_idx.size - cache_misses
             else:
                 work_idx = valid_idx
+
+            if on_final is not None and 0 < work_idx.size < n:
+                final = np.ones(n, dtype=bool)
+                final[work_idx] = False
+                rows = np.flatnonzero(final)
+                on_final(rows, ServingResult(
+                    predictions=np.clip(predictions[rows], *self._scale),
+                    fallback_level=levels[rows],
+                    stage_names=self.stage_names,
+                    invalid=invalid[rows],
+                    sanitized=sanitized_req[rows],
+                    deadline_deferred=deferred[rows],
+                    deadline_hit=False,
+                    elapsed=self._clock() - t0,
+                ))
 
             # Without a deadline, first try the primary stage on the
             # whole batch at once — the model's batched kernel fuses

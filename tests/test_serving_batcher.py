@@ -18,9 +18,13 @@ import threading
 import time
 from functools import partial
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
+from repro.obs import MetricsRegistry
 from repro.serving import (
     KernelPool,
     MicroBatcher,
@@ -28,7 +32,7 @@ from repro.serving import (
     PredictionService,
 )
 from repro.serving.batcher import BatchedPrediction
-from repro.serving.faults import poison_given
+from repro.serving.faults import ManualClock, SlowRecommender, poison_given
 
 
 @pytest.fixture(scope="module")
@@ -289,7 +293,7 @@ def test_dispatch_failure_reaches_every_caller(service, split_small, stream):
     class _BrokenService:
         model = service.model
 
-        def predict_many(self, *args, **kwargs):
+        def predict_many(self, given, users, items, *, on_final=None):
             raise RuntimeError("induced dispatch fault")
 
     batcher = MicroBatcher(_BrokenService(), workers=1, max_wait_us=2_000_000.0)
@@ -490,6 +494,222 @@ def test_mixed_fallback_levels_scatter_to_the_right_replies(service, split_small
         assert answer.queue_wait >= 0.0
     assert batcher.stats()["dispatched_batches"] == 2
     batcher.close()
+
+
+# ----------------------------------------------------------------------
+# Two waves: answers final before the chain runs are not held for it
+# ----------------------------------------------------------------------
+class _Abort(BaseException):
+    """Not an ``Exception``: the fallback chain does not absorb it."""
+
+
+def _parked_service(model, *, fault=None):
+    """A cached service whose primary stage parks until released.
+
+    Returns ``(service, entered, release)``.  Each call of the primary
+    stage sets ``entered``, then waits for ``release`` (bounded, so a
+    regression fails instead of hanging) and raises a popped *fault*,
+    if any is left.
+    """
+    entered, release = threading.Event(), threading.Event()
+    release.set()
+
+    def park(_delay):
+        entered.set()
+        assert release.wait(timeout=30), "the parked stage was never released"
+        if fault:
+            raise fault.pop()
+
+    stage = SlowRecommender(model, delay=0.0, sleep=park)
+    return PredictionService(stage, request_cache_size=1024), entered, release
+
+
+def _one_batch(batcher, given, head, requests, unstall, clock=None):
+    """Dispatch *head* alone, then *requests* as one batch behind it.
+
+    *batcher* must come from :func:`_stalled_batcher`; *unstall* is its
+    release callable.  With a *clock*, each request is enqueued one
+    millisecond after the previous one.
+    """
+    try:
+        first = batcher.submit(given, *head)
+        assert _wait_until(lambda: batcher.queue_depth == 0)
+        replies = []
+        for user, item in requests:
+            if clock is not None:
+                clock.advance(1e-3)
+            replies.append(batcher.submit(given, user, item))
+    finally:
+        unstall()
+    return first, replies
+
+
+def _picks(split):
+    """Two held-out pairs of each of four users, users ascending."""
+    users, items, _ = split.targets_arrays()
+    firsts = np.unique(users, return_index=True)[1][:4]
+    return [(int(users[p + j]), int(items[p + j])) for p in firsts for j in (0, 1)]
+
+
+def test_cache_hits_answer_before_the_kernel_pass(cfsf_small, split_small):
+    """While the primary stage works on a batch's misses, its cache
+    hits and out-of-range requests are already answered."""
+    given = split_small.given
+    pairs = _picks(split_small)
+    cached, uncached = pairs[0::2], pairs[1::2]
+    service, entered, release = _parked_service(cfsf_small)
+    service.predict_many(given, *map(np.array, zip(*cached)))  # warm the cache
+    entered.clear()
+    release.clear()
+    requests = [
+        uncached[2], cached[1], (10_000, 0), uncached[0], cached[3],
+        (cached[0][0], given.n_items + 5),
+    ]
+    early, late = [1, 2, 4, 5], [0, 3]
+    batcher, unstall = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        # An all-hit head batch: it never reaches the stage.
+        head, replies = _one_batch(batcher, given, cached[0], requests, unstall)
+        assert entered.wait(timeout=30)
+        assert head.done()
+        assert [replies[j].done() for j in early] == [True] * len(early)
+        assert [replies[j].done() for j in late] == [False] * len(late)
+        assert replies[1].result(timeout=0).stage == "CFSF"
+        assert replies[2].result(timeout=0).stage == "global_mean"
+        assert replies[5].result(timeout=0).degraded
+    finally:
+        release.set()
+    users = np.array([user for user, _ in requests])
+    items = np.array([item for _, item in requests])
+    order = np.argsort(users, kind="stable")
+    reference = PredictionService(cfsf_small, request_cache_size=0)
+    direct = reference.predict_many(given, users[order], items[order])
+    for pos, src in enumerate(order.tolist()):
+        answer = replies[src].result(timeout=30)
+        level = int(direct.fallback_level[pos])
+        assert answer[:4] == (
+            float(direct.predictions[pos]), level, direct.stage_names[level],
+            bool(direct.degraded[pos]),
+        )
+    assert batcher.stats()["dispatched_batches"] == 2
+    batcher.close()
+
+
+def test_an_escaping_base_exception_reaches_only_unanswered_replies(
+    cfsf_small, split_small
+):
+    """A ``BaseException`` out of the chain fails the replies still
+    waiting for it; the answered ones keep their answers, and the lone
+    worker keeps serving."""
+    given = split_small.given
+    pairs = _picks(split_small)
+    cached, uncached = pairs[0::2], pairs[1::2]
+    fault = []
+    service, _, _ = _parked_service(cfsf_small, fault=fault)
+    service.predict_many(given, *map(np.array, zip(*cached)))
+    fault.append(_Abort("induced abort"))
+    requests = [uncached[1], cached[2], (-1, 0), uncached[3]]
+    batcher, unstall = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head, replies = _one_batch(batcher, given, cached[0], requests, unstall)
+        for j in (0, 3):
+            assert isinstance(replies[j].exception(timeout=30), _Abort)
+            with pytest.raises(_Abort, match="induced abort"):
+                replies[j].result()
+        assert head.result(timeout=30).stage == "CFSF"
+        assert replies[1].result(timeout=30).stage == "CFSF"
+        assert replies[2].result(timeout=30).stage == "global_mean"
+        assert not fault
+        later = batcher.submit(given, *uncached[1])
+        assert later.result(timeout=30).stage == "CFSF"
+    finally:
+        batcher.close()
+
+
+#: Out-of-range requests the property test mixes in.
+_OUT_OF_RANGE = [(10_000, 0), (-1, 3), (0, 10_000), (1, -2)]
+#: Pairs :func:`_picks` returns.
+_N_PAIRS = 8
+
+
+def _service_totals(service):
+    health = service.health()
+    totals = {
+        key: health[key]
+        for key in (
+            "requests_total", "invalid_total", "sanitized_total",
+            "degraded_total", "deadline_deferred_total",
+        )
+    }
+    cache = health.get("request_cache")
+    totals["cache"] = None if cache is None else (cache["hits"], cache["misses"])
+    totals["latency_count"] = health["latency"]["count"]
+    totals["served"] = [
+        service.metrics.counter_value("serving.fallback", stage=name)
+        for name in service.stage_names
+    ]
+    return totals
+
+
+@hypothesis.given(
+    cache_on=st.booleans(),
+    picks=st.lists(st.integers(0, _N_PAIRS + len(_OUT_OF_RANGE) - 1), min_size=1, max_size=24),
+)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_two_waves_answer_as_the_service_result_does(cfsf_small, split_small, cache_on, picks):
+    """Random batches of cached, uncached, out-of-range and poisoned-row
+    requests: through the batcher, each reply equals, field by field,
+    the service's answer for that request in the same sorted batch, and
+    the service counts the same totals."""
+    pairs = _picks(split_small)
+    # The third and fourth users' rows carry a NaN: their requests are
+    # served from the sanitised profile, flagged degraded.
+    given = poison_given(
+        split_small.given, [(pairs[4][0], 0, float("nan")), (pairs[6][0], 1, float("inf"))]
+    )
+    candidates = pairs + _OUT_OF_RANGE
+    requests = [candidates[k] for k in picks]
+    warm = pairs[0::2]
+
+    def fresh():
+        svc = PredictionService(
+            cfsf_small, request_cache_size=1024 if cache_on else 0,
+            metrics=MetricsRegistry(),
+        )
+        svc.predict_many(given, *map(np.array, zip(*warm)))
+        return svc
+
+    via, direct = fresh(), fresh()
+    clock = ManualClock()
+    batcher, unstall = _stalled_batcher(
+        via, max_wait_us=2_000_000.0, max_batch_size=512, clock=clock
+    )
+    try:
+        head, replies = _one_batch(batcher, given, warm[0], requests, unstall, clock)
+        answers = [reply.result(timeout=30) for reply in replies]
+        head.result(timeout=30)
+        assert batcher.stats()["dispatched_batches"] == 2
+    finally:
+        batcher.close()
+    t_dispatch = clock()
+    direct.predict_many(given, np.array([warm[0][0]]), np.array([warm[0][1]]))
+    users = np.array([user for user, _ in requests])
+    items = np.array([item for _, item in requests])
+    order = np.argsort(users, kind="stable")
+    result = direct.predict_many(given, users[order], items[order])
+    for pos, src in enumerate(order.tolist()):
+        level = int(result.fallback_level[pos])
+        want = BatchedPrediction(
+            float(result.predictions[pos]), level, result.stage_names[level],
+            bool(result.degraded[pos]), max(t_dispatch - replies[src].enqueued_at, 0.0),
+        )
+        assert answers[src] == want
+        assert [type(field) for field in answers[src]] == [float, int, str, bool, float]
+    assert _service_totals(via) == _service_totals(direct)
 
 
 def test_submit_allocates_one_tracked_object(service, split_small, stream):
