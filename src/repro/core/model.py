@@ -268,6 +268,18 @@ class CFSF(Recommender):
             self._cache.put(key, state)
         return state
 
+    def has_active_state(self, given: RatingMatrix, user: int) -> bool:
+        """Whether *user*'s state for their row of *given* is cached.
+
+        A read-only look at the state cache: it moves no hit or miss
+        counter and no recency, so asking does not disturb the LRU.  The
+        serving layer asks it to fuse users with warm states before
+        those that need a fold-in.  The answer is a snapshot; a state
+        may be evicted (or stored) just after.
+        """
+        uid = int(user)
+        return 0 <= uid < given.n_users and (given.row_key(uid), uid) in self._cache
+
     def _compute_active_state(
         self, given: RatingMatrix, user: int, kernel: FusionKernel
     ) -> ActiveUserState:

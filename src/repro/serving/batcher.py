@@ -53,20 +53,23 @@ reply keeps the part of the ``Future`` API that callers use —
 Python 3.10, the built-in ``TimeoutError`` from 3.11).  It has no
 ``cancel()``: a queued request is always dispatched and answered.
 
-A dispatch answers its batch in at most two waves.  The service hands
-back the answers that are final before its fallback chain runs
-(request-cache hits and out-of-range requests) through
+A dispatch answers its batch in readiness order, in at most three
+waves.  The service hands back answers as they become final through
 ``predict_many``'s ``on_final`` hook, and the dispatch resolves those
-replies at once, so a cached answer does not wait out the kernel pass
-over the batch's misses; the rest are resolved when ``predict_many``
-returns.  A batch the cache answers whole, or one with no final
-answer, is resolved in one wave.  An exception out of the service
-reaches only the replies not yet answered.  Each wave builds its
-answers in one pass: one ``tolist()`` per result field, queue waits
-from one vectorised subtraction off the dispatch's clock reading, the
-replies picked in the batch's user-sorted order by one
-``operator.itemgetter``, and each :class:`BatchedPrediction` (a named
-tuple) made by ``map(BatchedPrediction._make, zip(...))``.  When the
+replies at once: first the request-cache hits and out-of-range
+requests, before the fallback chain runs, so a cached answer does not
+wait out the kernel pass over the batch's misses; then the misses of
+users whose per-user state is warm, fused in a pass of their own, so
+they do not wait out another user's fold-in.  The rest are resolved
+when ``predict_many`` returns.  A batch the cache answers whole, or
+one whose misses are all warm or all cold, takes fewer waves.  An
+exception out of the service reaches only the replies not yet
+answered.  Each wave builds its answers in one pass: one ``tolist()``
+per result field, queue waits from one vectorised subtraction off the
+dispatch's clock reading, the replies picked in the batch's
+user-sorted order by one ``operator.itemgetter``, and each
+:class:`BatchedPrediction` (a named tuple) made by
+``map(BatchedPrediction._make, zip(...))``.  When the
 request cache answers the whole batch, that pass and the cache probe
 are most of what a request costs (``docs/performance.md``, "Answer
 path").
@@ -231,6 +234,11 @@ def _pick(seq: Sequence[Reply], idx: list[int]) -> Sequence[Reply]:
     """The items of *seq* at *idx*, in that order, as a sequence."""
     # (itemgetter of a single index returns the item, not a tuple.)
     return itemgetter(*idx)(seq) if len(idx) > 1 else [seq[i] for i in idx]
+
+
+def _unanswered(n: int, answered: list[int]) -> list[int]:
+    """The positions in ``range(n)`` not in *answered*, ascending."""
+    return sorted(set(range(n)).difference(answered))
 
 
 def _answers(
@@ -529,14 +537,13 @@ class MicroBatcher:
         replies = _pick(batch, order.tolist())
         waits = waits[order]
         lock = self._reply_lock
-        pending = None  # once a first wave is answered: who still waits
+        answered: list[int] = []  # positions the early waves answered
 
         def answer_final(rows: np.ndarray, early: ServingResult) -> None:
-            nonlocal pending
+            idx = rows.tolist()
             answers = _answers(early, waits[rows])
-            pending = np.ones(n, dtype=bool)
-            pending[rows] = False
-            _resolve(lock, _pick(replies, rows.tolist()), answers)
+            answered.extend(idx)
+            _resolve(lock, _pick(replies, idx), answers)
 
         try:
             with self._dispatch_slot():
@@ -544,8 +551,8 @@ class MicroBatcher:
                     given, users[order], items[order], on_final=answer_final
                 )
         except BaseException as exc:  # noqa: BLE001 - fault must reach every caller
-            if pending is not None:
-                replies = _pick(replies, np.flatnonzero(pending).tolist())
+            if answered:
+                replies = _pick(replies, _unanswered(n, answered))
             _resolve(lock, replies, [exc] * len(replies))
             return
         with self._cond:
@@ -553,11 +560,11 @@ class MicroBatcher:
             self.dispatched_requests += n
         if reg.enabled:
             reg.counter("serving.batcher.dispatches").inc()
-        if pending is None:
+        if not answered:
             _resolve(lock, replies, _answers(result, waits))
         else:
-            rest = np.flatnonzero(pending)
-            _resolve(lock, _pick(replies, rest.tolist()), _answers(result, waits, rest))
+            rest = _unanswered(n, answered)
+            _resolve(lock, _pick(replies, rest), _answers(result, waits, np.asarray(rest)))
 
     def _worker(self) -> None:
         while True:

@@ -286,6 +286,9 @@ class PredictionService:
                 reg.counter("serving.stage.failures", stage=name),
             ))
         self._stages = stages
+        # The primary's read-only "is this user's state warm?" query,
+        # if it has one (CFSF does; plain baselines do not).
+        self._has_state = getattr(model, "has_active_state", None)
         #: Names of the chain's stages, primary first.
         self.stage_names = tuple(stage.name for stage in stages)
         # Deadline-deferred requests are served by the user-mean stage.
@@ -460,16 +463,23 @@ class PredictionService:
             to the cheap user-mean stage and are flagged
             ``deadline_deferred``.
         on_final:
-            Called as ``on_final(rows, early)`` before the chain runs,
-            when some requests need it and others are already answered:
-            request-cache hits and, in lenient mode, out-of-range
-            requests.  ``rows`` holds those requests' positions in the
-            batch (ascending) and ``early`` is a :class:`ServingResult`
-            over them, field for field what the returned result will
-            say at ``rows``.  The returned result still covers the
-            whole batch, and the counters count the call once, when it
-            returns.  The micro-batcher answers cache hits through it
-            without waiting out the kernel pass.
+            Called as ``on_final(rows, early)`` for requests whose
+            answers are final while others still wait, in readiness
+            order, at most twice.  First, before the chain runs, with
+            the request-cache hits and, in lenient mode, out-of-range
+            requests.  Then, without a *deadline*, when the misses
+            mix users whose per-user state is warm with users who
+            need a fold-in: the warm users' misses are fused in a pass
+            of their own and handed over before the others are folded
+            in.  ``rows`` holds the requests' positions in the batch
+            (ascending; no row is handed over twice) and ``early`` is
+            a :class:`ServingResult` over them, field for field what
+            the returned result will say at ``rows``.  The returned
+            result still covers the whole batch, and the counters
+            count the call once, when it returns.  The micro-batcher
+            answers through it, so a cache hit does not wait out the
+            kernel pass and a warm miss does not wait out another
+            user's fold-in.
         """
         t0 = self._clock()
         if self.model is None:  # pragma: no cover - constructor guards this
@@ -547,6 +557,7 @@ class PredictionService:
             # lookups.
             cache = self._request_cache
             miss_keys: dict[int, tuple] = {}
+            hit_rows: list[int] = []
             if cache is not None:
                 row_key, ver = cleaned.row_key, self.model_version
                 u_list = users.tolist()
@@ -561,6 +572,7 @@ class PredictionService:
                             remaining.append(ridx)
                             miss_keys[ridx] = key
                         else:
+                            hit_rows.append(ridx)
                             predictions[ridx] = val
                             levels[ridx] = 0
                     work_idx = np.asarray(remaining, dtype=np.intp)
@@ -573,38 +585,59 @@ class PredictionService:
             else:
                 work_idx = valid_idx
 
-            if on_final is not None and 0 < work_idx.size < n:
-                final = np.ones(n, dtype=bool)
-                final[work_idx] = False
-                rows = np.flatnonzero(final)
-                on_final(rows, ServingResult(
-                    predictions=np.clip(predictions[rows], *self._scale),
-                    fallback_level=levels[rows],
-                    stage_names=self.stage_names,
-                    invalid=invalid[rows],
-                    sanitized=sanitized_req[rows],
-                    deadline_deferred=deferred[rows],
-                    deadline_hit=False,
-                    elapsed=self._clock() - t0,
-                ))
+            if on_final is not None:
+                lo, hi = self._scale
+
+                def hand_off(rows: np.ndarray) -> None:
+                    # (np.minimum of np.maximum is np.clip, for less
+                    # per-call overhead on a handful of rows.)
+                    on_final(rows, ServingResult(
+                        predictions=np.minimum(np.maximum(predictions[rows], lo), hi),
+                        fallback_level=levels[rows],
+                        stage_names=self.stage_names,
+                        invalid=invalid[rows],
+                        sanitized=sanitized_req[rows],
+                        deadline_deferred=deferred[rows],
+                        deadline_hit=False,
+                        elapsed=self._clock() - t0,
+                    ))
+
+                if 0 < work_idx.size < n:
+                    final = hit_rows
+                    if n_invalid:
+                        final = sorted(hit_rows + np.flatnonzero(invalid).tolist())
+                    hand_off(np.asarray(final, dtype=np.intp))
 
             # Without a deadline, first try the primary stage on the
             # whole batch at once — the model's batched kernel fuses
-            # every request in one pass.  If the primary fails (or its
-            # breaker is open), or a deadline needs mid-batch deferral,
-            # walk the chain per user block so faults and budget cuts
-            # stay isolated per user.  A failed whole-batch attempt
-            # counts against the primary's breaker like a block's.
+            # every request in one pass.  With an on_final hook, the
+            # users whose state is warm are fused first and handed
+            # off, so their answers do not wait out another user's
+            # fold-in; the rest follow in a second pass.  If a pass
+            # fails (or the primary's breaker is open), or a deadline
+            # needs mid-batch deferral, walk the chain per user block
+            # so faults and budget cuts stay isolated per user.  A
+            # failed pass counts against the primary's breaker like a
+            # block's.
             if deadline is None and work_idx.size:
-                fast = self._try_stage(
-                    stages[0], cleaned, users[work_idx], items[work_idx], errors
-                )
-                if fast is not None:
-                    predictions[work_idx] = fast
-                    levels[work_idx] = 0
+                passes = [work_idx]
+                if on_final is not None and self._has_state is not None:
+                    passes = self._split_warm(cleaned, users, work_idx)
+                failed = []
+                for k, idx in enumerate(passes, 1):
+                    fast = self._try_stage(stages[0], cleaned, users[idx], items[idx], errors)
+                    if fast is None:
+                        failed.append(idx)
+                        continue
+                    predictions[idx] = fast
+                    levels[idx] = 0
                     if cache is not None:
-                        cache.put_many([miss_keys[r] for r in work_idx.tolist()], fast.tolist())
-                    work_idx = np.empty(0, dtype=np.intp)
+                        cache.put_many([miss_keys[r] for r in idx.tolist()], fast.tolist())
+                    if k < len(passes):
+                        hand_off(idx)
+                work_idx = (
+                    np.concatenate(failed) if failed else np.empty(0, dtype=np.intp)
+                )
             if work_idx.size:
                 w_users = users[work_idx]
                 order = np.argsort(w_users, kind="stable")
@@ -676,6 +709,22 @@ class PredictionService:
             elapsed=elapsed,
             errors=tuple(errors),
         )
+
+    def _split_warm(
+        self, given: RatingMatrix, users: np.ndarray, work_idx: np.ndarray
+    ) -> list[np.ndarray]:
+        """*work_idx* as one pass, or as the rows of users whose state
+        is warm followed by the rest, when it holds both kinds."""
+        rows = work_idx.tolist()
+        row_users = users[work_idx].tolist()
+        distinct = set(row_users)
+        has_state = self._has_state
+        warm = {u for u in distinct if has_state(given, u)}
+        if not warm or len(warm) == len(distinct):
+            return [work_idx]
+        first = [r for r, u in zip(rows, row_users) if u in warm]
+        rest = [r for r, u in zip(rows, row_users) if u not in warm]
+        return [np.asarray(first, dtype=np.intp), np.asarray(rest, dtype=np.intp)]
 
     def _try_stage(
         self,

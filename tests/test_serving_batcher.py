@@ -11,6 +11,7 @@ policies, and a clean drain on close.
 from __future__ import annotations
 
 import concurrent.futures
+import copy
 import gc
 import logging
 import sys
@@ -630,6 +631,205 @@ def test_an_escaping_base_exception_reaches_only_unanswered_replies(
         batcher.close()
 
 
+# ----------------------------------------------------------------------
+# Three waves: a warm miss does not wait out another user's fold-in
+# ----------------------------------------------------------------------
+def _cold_model(model):
+    """A private copy of *model* with no per-user state cached."""
+    private = copy.deepcopy(model)
+    private.build_online_kernel()
+    return private
+
+
+def _held_fold_in(model, user):
+    """Park *model*'s fold-in of *user* until released.
+
+    Returns ``(entered, release)``.  The wait is bounded, so a
+    regression fails instead of hanging.
+    """
+    entered, release = threading.Event(), threading.Event()
+    compute = model._compute_active_state
+
+    def held(given, who, kernel):
+        if int(who) == user:
+            entered.set()
+            assert release.wait(timeout=30), "the held fold-in was never released"
+        return compute(given, who, kernel)
+
+    model._compute_active_state = held
+    return entered, release
+
+
+class _FailsFor:
+    """A primary stage that raises *exc* on every call whose batch
+    holds *user*; any other call, and every attribute, is *inner*'s."""
+
+    def __init__(self, inner, user, exc):
+        self.inner, self.user, self.exc = inner, user, exc
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def predict_many(self, given, users, items):
+        if self.user in np.asarray(users).tolist():
+            raise self.exc
+        return self.inner.predict_many(given, users, items)
+
+
+def _three_kinds(split):
+    """``(pairs, cached, requests, kinds)`` over :func:`_picks`' four users.
+
+    The first two users have their first pair in the request cache
+    (so their state is warm), the third has a warm state and nothing
+    cached, and the fourth is cold.  *requests* mixes every kind with
+    an out-of-range request; *kinds* names each one's wave.
+    """
+    pairs = _picks(split)
+    cached = [pairs[0], pairs[2]]
+    requests = [pairs[7], pairs[1], (10_000, 0), pairs[4], pairs[0], pairs[6],
+                pairs[3], pairs[5], pairs[2]]
+    kinds = ["cold", "warm", "final", "warm", "final", "cold", "warm", "warm", "final"]
+    return pairs, cached, requests, kinds
+
+
+def _prepared(model, given, cached, warm_user, **kwargs):
+    """A cached service over *model*, with *cached* in its request cache
+    and *warm_user*'s state folded in."""
+    service = PredictionService(
+        model, request_cache_size=1024, metrics=MetricsRegistry(), **kwargs
+    )
+    service.predict_many(given, *map(np.array, zip(*cached)))
+    service.model.active_user_state(given, warm_user)
+    return service
+
+
+def _sorted_direct(service, given, requests):
+    """``service``'s one-wave answer per request, in *requests*' order,
+    on the batch sorted by user as the batcher sends it."""
+    users = np.array([user for user, _ in requests])
+    items = np.array([item for _, item in requests])
+    order = np.argsort(users, kind="stable")
+    result = service.predict_many(given, users[order], items[order])
+    want = [None] * len(requests)
+    for pos, src in enumerate(order.tolist()):
+        level = int(result.fallback_level[pos])
+        want[src] = (
+            float(result.predictions[pos]), level, result.stage_names[level],
+            bool(result.degraded[pos]),
+        )
+    return want
+
+
+def test_warm_misses_answer_before_a_fold_in(cfsf_small, split_small):
+    """While one user's fold-in runs, the batch's cache hits and the
+    misses of users whose state is warm are already answered; only
+    the folded-in user's requests wait for it."""
+    given = split_small.given
+    pairs, cached, requests, kinds = _three_kinds(split_small)
+    model = _cold_model(cfsf_small)
+    service = _prepared(model, given, cached, pairs[4][0])
+    entered, release = _held_fold_in(model, pairs[6][0])
+    release.clear()
+    batcher, unstall = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head, replies = _one_batch(batcher, given, cached[0], requests, unstall)
+        assert entered.wait(timeout=30)
+        assert head.done()
+        assert [reply.done() for reply in replies] == [kind != "cold" for kind in kinds]
+        assert {replies[j].result(timeout=0).stage for j in (1, 3, 6, 7)} == {"CFSF"}
+    finally:
+        release.set()
+    want = _sorted_direct(PredictionService(cfsf_small, request_cache_size=0), given, requests)
+    assert [reply.result(timeout=30)[:4] for reply in replies] == want
+    assert batcher.stats()["dispatched_batches"] == 2
+    batcher.close()
+
+
+@pytest.mark.parametrize("failing", ["warm", "cold"])
+def test_a_failed_pass_walks_the_chain_as_one_wave_does(cfsf_small, split_small, failing):
+    """A primary stage that fails only in the warm-state pass, or only
+    in the fold-in pass, gives the answers, counts and stage failures
+    of the one-wave chain walk over the same batch."""
+    given = split_small.given
+    pairs, cached, requests, _ = _three_kinds(split_small)
+    user = pairs[4][0] if failing == "warm" else pairs[6][0]
+    model = _cold_model(cfsf_small)
+    primary = _FailsFor(model, user, RuntimeError("induced stage fault"))
+    via = _prepared(primary, given, cached, pairs[4][0])
+    direct = _prepared(primary, given, cached, pairs[4][0])
+    batcher, unstall = _stalled_batcher(
+        via, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head, replies = _one_batch(batcher, given, cached[0], requests, unstall)
+        answers = [reply.result(timeout=30)[:4] for reply in replies]
+        head.result(timeout=30)
+    finally:
+        batcher.close()
+    direct.predict_many(given, np.array([cached[0][0]]), np.array([cached[0][1]]))
+    want = _sorted_direct(direct, given, requests)
+    assert answers == want
+    assert {level for _, level, _, _ in want} == {0, 1, 3}
+    assert _service_totals(via) == _service_totals(direct)
+    name = str(model.name)
+    assert via.metrics.counter_value("serving.stage.failures", stage=name) == 2
+    assert direct.metrics.counter_value("serving.stage.failures", stage=name) == 2
+
+
+def test_a_base_exception_in_the_fold_in_pass_reaches_only_its_replies(
+    cfsf_small, split_small
+):
+    """A ``BaseException`` out of the fold-in pass fails only the
+    replies that waited for it: the cache hits and warm-state misses
+    were answered before it ran."""
+    given = split_small.given
+    pairs, cached, requests, kinds = _three_kinds(split_small)
+    model = _cold_model(cfsf_small)
+    primary = _FailsFor(model, pairs[6][0], _Abort("induced abort"))
+    service = _prepared(primary, given, cached, pairs[4][0])
+    batcher, unstall = _stalled_batcher(
+        service, max_wait_us=2_000_000.0, max_batch_size=512
+    )
+    try:
+        head, replies = _one_batch(batcher, given, cached[0], requests, unstall)
+        for reply, kind in zip(replies, kinds):
+            if kind == "cold":
+                assert isinstance(reply.exception(timeout=30), _Abort)
+            else:
+                assert reply.result(timeout=30).stage in ("CFSF", "global_mean")
+        assert head.result(timeout=30).stage == "CFSF"
+        later = batcher.submit(given, *pairs[5])
+        assert later.result(timeout=30).stage == "CFSF"
+    finally:
+        batcher.close()
+
+
+def test_the_state_query_moves_no_counter_and_no_recency(cfsf_small, split_small):
+    """``has_active_state`` answers for the given row only, and leaves
+    the state cache's hit/miss counters and its LRU order alone."""
+    given = split_small.given
+    pairs = _picks(split_small)
+    u, v, w = pairs[0][0], pairs[2][0], pairs[4][0]
+    model = _cold_model(cfsf_small)
+    model.config = model.config.with_(cache_size=2)
+    model.active_user_state(given, u)
+    model.active_user_state(given, v)
+    before = model.cache_stats()
+    assert model.has_active_state(given, u) and model.has_active_state(given, v)
+    assert not model.has_active_state(given, w)
+    assert not model.has_active_state(given, -1)
+    assert not model.has_active_state(given, given.n_users)
+    unrated = int(np.flatnonzero(~given.mask[u])[0])
+    assert not model.has_active_state(given.with_ratings([(u, unrated, 3.0)]), u)
+    assert model.cache_stats() == before
+    # Asking about u did not refresh it: it is still the LRU entry.
+    model.active_user_state(given, w)
+    assert not model.has_active_state(given, u)
+    assert model.has_active_state(given, v) and model.has_active_state(given, w)
+
+
 #: Out-of-range requests the property test mixes in.
 _OUT_OF_RANGE = [(10_000, 0), (-1, 3), (0, 10_000), (1, -2)]
 #: Pairs :func:`_picks` returns.
@@ -657,14 +857,17 @@ def _service_totals(service):
 
 @hypothesis.given(
     cache_on=st.booleans(),
+    warm_users=st.sets(st.integers(0, 3)),
     picks=st.lists(st.integers(0, _N_PAIRS + len(_OUT_OF_RANGE) - 1), min_size=1, max_size=24),
 )
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_two_waves_answer_as_the_service_result_does(cfsf_small, split_small, cache_on, picks):
-    """Random batches of cached, uncached, out-of-range and poisoned-row
-    requests: through the batcher, each reply equals, field by field,
-    the service's answer for that request in the same sorted batch, and
-    the service counts the same totals."""
+def test_two_waves_answer_as_the_service_result_does(
+    cfsf_small, split_small, cache_on, warm_users, picks
+):
+    """Random batches of cached, warm-state, cold, out-of-range and
+    poisoned-row requests: through the batcher, each reply equals,
+    field by field, the service's one-wave answer for that request in
+    the same sorted batch, and the service counts the same totals."""
     pairs = _picks(split_small)
     # The third and fourth users' rows carry a NaN: their requests are
     # served from the sanitised profile, flagged degraded.
@@ -673,14 +876,19 @@ def test_two_waves_answer_as_the_service_result_does(cfsf_small, split_small, ca
     )
     candidates = pairs + _OUT_OF_RANGE
     requests = [candidates[k] for k in picks]
-    warm = pairs[0::2]
+    # Each warm user's first pair is served before the batch: that
+    # folds the user in and, with the cache on, caches the pair.
+    warm = [pairs[2 * user] for user in sorted(warm_users)]
+    head = _OUT_OF_RANGE[0]
+    model = _cold_model(cfsf_small)
 
     def fresh():
         svc = PredictionService(
-            cfsf_small, request_cache_size=1024 if cache_on else 0,
+            model, request_cache_size=1024 if cache_on else 0,
             metrics=MetricsRegistry(),
         )
-        svc.predict_many(given, *map(np.array, zip(*warm)))
+        if warm:
+            svc.predict_many(given, *map(np.array, zip(*warm)))
         return svc
 
     via, direct = fresh(), fresh()
@@ -689,14 +897,14 @@ def test_two_waves_answer_as_the_service_result_does(cfsf_small, split_small, ca
         via, max_wait_us=2_000_000.0, max_batch_size=512, clock=clock
     )
     try:
-        head, replies = _one_batch(batcher, given, warm[0], requests, unstall, clock)
+        first, replies = _one_batch(batcher, given, head, requests, unstall, clock)
         answers = [reply.result(timeout=30) for reply in replies]
-        head.result(timeout=30)
+        first.result(timeout=30)
         assert batcher.stats()["dispatched_batches"] == 2
     finally:
         batcher.close()
     t_dispatch = clock()
-    direct.predict_many(given, np.array([warm[0][0]]), np.array([warm[0][1]]))
+    direct.predict_many(given, np.array([head[0]]), np.array([head[1]]))
     users = np.array([user for user, _ in requests])
     items = np.array([item for _, item in requests])
     order = np.argsort(users, kind="stable")
