@@ -38,14 +38,12 @@ from repro.baselines import (
     PersonalityDiagnosis,
     Recommender,
     SimilarityFusion,
-    SlopeOne,
     UserBasedCF,
 )
 from repro.core import (
     CFSF,
     CFSFConfig,
     IncrementalGIS,
-    apply_time_decay,
     load_model,
     recommend_top_n,
     save_model,
@@ -85,11 +83,9 @@ __all__ = [
     "SCBPCC",
     "ServingResult",
     "SimilarityFusion",
-    "SlopeOne",
     "SyntheticConfig",
     "UserBasedCF",
     "__version__",
-    "apply_time_decay",
     "default_dataset",
     "evaluate",
     "load_model",

@@ -19,8 +19,7 @@
 
 plus :class:`~repro.baselines.matrix_factorization.MatrixFactorization`
 (the related-work family the paper cites as [12]/[20]), the sanity
-references :class:`~repro.baselines.means.MeanPredictor`
-and :class:`~repro.baselines.slope_one.SlopeOne`, and the shared
+reference :class:`~repro.baselines.means.MeanPredictor`, and the shared
 :class:`~repro.baselines.base.Recommender` interface that CFSF itself
 implements.
 """
@@ -34,7 +33,6 @@ from repro.baselines.means import MeanPredictor
 from repro.baselines.pd import PersonalityDiagnosis
 from repro.baselines.scbpcc import SCBPCC
 from repro.baselines.sf import SimilarityFusion
-from repro.baselines.slope_one import SlopeOne
 from repro.baselines.user_knn import UserBasedCF
 
 __all__ = [
@@ -48,7 +46,6 @@ __all__ = [
     "Recommender",
     "SCBPCC",
     "SimilarityFusion",
-    "SlopeOne",
     "UserBasedCF",
     "fallback_baseline",
 ]

@@ -12,14 +12,12 @@ Each stage of Algorithm 1 is its own module with its own tests:
 :mod:`~repro.core.fusion`      Online step 6b — SIR'/SUR'/SUIR' fusion (Eqs. 12–14)
 :mod:`~repro.core.model`       The end-to-end :class:`CFSF` estimator
 :mod:`~repro.core.incremental` Extension — GIS maintenance without refit (§VI)
-:mod:`~repro.core.temporal`    Extension — time-decayed ratings (§VI)
 ====================  ====================================================
 """
 
 from repro.core.config import PAPER_DEFAULTS, CFSFConfig
 from repro.core.clustering import UserClusters, cluster_users
 from repro.core.incremental import IncrementalGIS
-from repro.core.temporal import apply_time_decay, decay_weights
 from repro.core.fusion import (
     FusedPrediction,
     FusionKernel,
@@ -37,10 +35,9 @@ from repro.core.icluster import (
     user_cluster_affinity,
 )
 from repro.core.local_matrix import LocalMatrix, build_local_matrix
-from repro.core.explain import Contribution, Explanation, explain
 from repro.core.model import CFSF, ActiveUserState
 from repro.core.persistence import load_model, save_model
-from repro.core.recommend import Recommendation, recommend_for_all, recommend_top_n
+from repro.core.recommend import Recommendation, recommend_top_n
 from repro.core.selection import TopKUsers, select_top_k_users, weighted_user_similarity
 from repro.core.smoothing import SmoothedRatings, cluster_deviations, smooth_ratings
 
@@ -48,8 +45,6 @@ __all__ = [
     "CFSF",
     "ActiveUserState",
     "CFSFConfig",
-    "Contribution",
-    "Explanation",
     "FusedPrediction",
     "FusionKernel",
     "GlobalItemSimilarity",
@@ -58,13 +53,10 @@ __all__ = [
     "NeighborCache",
     "PreparedActiveUser",
     "PreparedAffinity",
-    "apply_time_decay",
-    "decay_weights",
     "LocalMatrix",
     "PAPER_DEFAULTS",
     "Recommendation",
     "load_model",
-    "recommend_for_all",
     "recommend_top_n",
     "save_model",
     "SmoothedRatings",
@@ -77,7 +69,6 @@ __all__ = [
     "prepare_affinity",
     "cluster_deviations",
     "cluster_users",
-    "explain",
     "fuse",
     "fusion_weights",
     "pair_similarity",

@@ -8,7 +8,8 @@ return the best N, excluding items the user already rated.
 
 Ranking quality is measured with the metrics in
 :mod:`repro.eval.metrics` (precision/recall@N, NDCG@N); see
-``tests/test_recommend.py`` and the ranking section of the examples.
+``tests/test_persistence_recommend.py`` and the ranking section of the
+examples.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.baselines.base import Recommender
 from repro.data.matrix import RatingMatrix
 from repro.utils.validation import check_positive_int
 
-__all__ = ["Recommendation", "recommend_top_n", "recommend_for_all"]
+__all__ = ["Recommendation", "recommend_top_n"]
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,10 @@ def recommend_top_n(
     Scoring cost is one ``predict_many`` over the candidate set —
     for CFSF that reuses the cached per-user state, so a full-catalogue
     ranking costs the same as the Fig. 5 workload for one user.
+
+    Ties rank by candidate position: CFSF clips many scores to the
+    scale maximum, and the list must not keep an arbitrary subset of
+    the tied items at the cut.
     """
     check_positive_int(n, "n")
     if not 0 <= user < given.n_users:
@@ -89,21 +94,5 @@ def recommend_top_n(
     scores = model.predict_many(
         given, np.full(candidates.shape, user, dtype=np.intp), candidates
     )
-    k = min(n, candidates.size)
-    part = np.argpartition(-scores, k - 1)[:k]
-    order = part[np.argsort(-scores[part], kind="stable")]
+    order = np.argsort(-scores, kind="stable")[:n]
     return Recommendation(user=user, items=candidates[order], scores=scores[order])
-
-
-def recommend_for_all(
-    model: Recommender,
-    given: RatingMatrix,
-    n: int = 10,
-    *,
-    exclude_given: bool = True,
-) -> list[Recommendation]:
-    """Top-N lists for every active user row of *given*."""
-    return [
-        recommend_top_n(model, given, user, n, exclude_given=exclude_given)
-        for user in range(given.n_users)
-    ]

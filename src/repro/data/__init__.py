@@ -11,7 +11,6 @@ ML_100/200/300 x Given5/10/20 experimental protocol
 """
 
 from repro.data.datasets import clear_dataset_cache, dataset_source, default_dataset
-from repro.data.io import load_matrix, load_triplets, save_matrix, save_triplets
 from repro.data.matrix import DatasetStats, RatingMatrix
 from repro.data.movielens import (
     LoadedRatings,
@@ -29,13 +28,6 @@ from repro.data.stats import (
     rating_histogram,
     summarize,
 )
-from repro.data.perturb import (
-    add_cold_items,
-    add_cold_users,
-    add_noise_ratings,
-    drop_ratings,
-    shill_items,
-)
 from repro.data.splits import (
     GIVEN_SIZES,
     TRAINING_SIZES,
@@ -48,7 +40,6 @@ from repro.data.synthetic import (
     SyntheticConfig,
     SyntheticDataset,
     make_movielens_like,
-    make_timestamped,
 )
 
 __all__ = [
@@ -61,31 +52,21 @@ __all__ = [
     "SyntheticDataset",
     "TRAINING_SIZES",
     "activity_histogram",
-    "add_cold_items",
-    "add_cold_users",
-    "add_noise_ratings",
     "clear_dataset_cache",
-    "drop_ratings",
     "gini_coefficient",
     "popularity_curve",
     "popularity_quality_correlation",
     "rating_histogram",
-    "shill_items",
     "summarize",
     "dataset_source",
     "default_dataset",
     "find_local_movielens",
-    "load_matrix",
     "load_ml100k",
     "load_ml1m",
     "load_ratings_file",
-    "load_triplets",
     "make_movielens_like",
     "make_split",
-    "make_timestamped",
     "paper_grid",
     "paper_subsample",
-    "save_matrix",
-    "save_triplets",
     "subsample_heldout",
 ]

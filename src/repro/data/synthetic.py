@@ -39,7 +39,7 @@ from repro.data.matrix import RatingMatrix
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["SyntheticConfig", "SyntheticDataset", "make_movielens_like", "make_timestamped"]
+__all__ = ["SyntheticConfig", "SyntheticDataset", "make_movielens_like"]
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ class SyntheticDataset:
     true_scores: np.ndarray = field(repr=False)
     user_group: np.ndarray = field(repr=False)
     item_genre: np.ndarray = field(repr=False)
-    timestamps: np.ndarray | None = field(repr=False, default=None)
 
     def oracle_mae(self) -> float:
         """MAE of the noise-free score against the observed ratings.
@@ -274,47 +273,4 @@ def make_movielens_like(
         true_scores=true_scores,
         user_group=user_group,
         item_genre=item_genre,
-    )
-
-
-def make_timestamped(
-    config: SyntheticConfig | None = None,
-    *,
-    seed: int | np.random.Generator | None = 0,
-    drift_sd: float = 0.35,
-) -> SyntheticDataset:
-    """Generate a dataset whose ratings carry timestamps and drift.
-
-    Supports the paper's future-work direction of exploiting "dates
-    associated with the ratings": user tastes drift over a unit time
-    horizon, so time-aware weighting (:mod:`repro.core.temporal`) has
-    signal to exploit.  Timestamps are uniform in ``[0, 1]`` per rating;
-    later ratings are drawn from a drifted preference state.
-
-    Parameters
-    ----------
-    drift_sd:
-        Standard deviation of the per-user preference drift applied at
-        time 1.0 relative to time 0.0 (linearly interpolated).
-    """
-    cfg = config or SyntheticConfig()
-    rng = as_generator(seed)
-    base = make_movielens_like(cfg, seed=rng)
-
-    mask = base.ratings.mask
-    n_obs = int(mask.sum())
-    times = np.zeros(mask.shape, dtype=np.float64)
-    times[mask] = rng.uniform(0.0, 1.0, size=n_obs)
-
-    drift = rng.normal(0.0, drift_sd, size=base.true_scores.shape)
-    drifted_scores = base.true_scores + times * drift
-    noisy = drifted_scores + rng.normal(0.0, cfg.noise_sd, size=drifted_scores.shape)
-    values = np.where(mask, np.clip(np.round(noisy), 1, 5), 0.0)
-
-    return SyntheticDataset(
-        ratings=RatingMatrix(values, mask, rating_scale=(1.0, 5.0)),
-        true_scores=drifted_scores,
-        user_group=base.user_group,
-        item_genre=base.item_genre,
-        timestamps=times,
     )

@@ -16,8 +16,8 @@ from repro.eval.paper_values import (
     TABLE3_MAE,
 )
 from repro.eval.protocol import EvaluationResult, evaluate, evaluate_fitted
-from repro.eval.report import ascii_plot, format_comparison, format_paper_table, format_table
-from repro.eval.significance import PairedResult, bootstrap_mae_ci, paired_comparison
+from repro.eval.report import ascii_plot, format_paper_table, format_table
+from repro.eval.significance import PairedResult, paired_comparison
 from repro.eval.crossval import CrossValResult, cross_validate, user_kfold_splits
 from repro.eval.tuning import Trial, TuningResult, tune_cfsf
 from repro.eval.runner import (
@@ -36,7 +36,6 @@ __all__ = [
     "GridResult",
     "OFFLINE_PARAMETERS",
     "PairedResult",
-    "bootstrap_mae_ci",
     "paired_comparison",
     "TABLE2_MAE",
     "Trial",
@@ -47,7 +46,6 @@ __all__ = [
     "cross_validate",
     "evaluate",
     "evaluate_fitted",
-    "format_comparison",
     "format_paper_table",
     "format_table",
     "mae",

@@ -12,7 +12,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["format_table", "format_paper_table", "ascii_plot", "format_comparison"]
+__all__ = ["format_table", "format_paper_table", "ascii_plot"]
 
 
 def format_table(
@@ -135,18 +135,3 @@ def ascii_plot(
     )
     out.append(" " * 10 + legend)
     return "\n".join(out)
-
-
-def format_comparison(
-    paper: Mapping[str, float],
-    measured: Mapping[str, float],
-    *,
-    title: str | None = None,
-) -> str:
-    """Side-by-side paper-vs-measured table with the delta."""
-    rows = []
-    for key in paper:
-        p = paper[key]
-        m = measured.get(key, float("nan"))
-        rows.append([key, p, m, m - p])
-    return format_table(["Cell", "Paper", "Measured", "Delta"], rows, title=title)

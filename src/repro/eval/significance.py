@@ -8,8 +8,6 @@ applies:
 
 * :func:`paired_comparison` — mean difference, a paired t statistic,
   the Wilcoxon signed-rank test (scipy), and a sign-test summary.
-* :func:`bootstrap_mae_ci` — a percentile bootstrap confidence
-  interval for one recommender's MAE.
 
 These run inside the Table III benchmark so every "who wins" claim in
 EXPERIMENTS.md carries a p-value.
@@ -21,10 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import as_generator
-from repro.utils.validation import check_positive_int, check_same_shape
+from repro.utils.validation import check_same_shape
 
-__all__ = ["PairedResult", "paired_comparison", "bootstrap_mae_ci"]
+__all__ = ["PairedResult", "paired_comparison"]
 
 
 @dataclass(frozen=True)
@@ -97,29 +94,3 @@ def paired_comparison(
         n_b_better=int((diff > 0).sum()),
         n_ties=int((diff == 0).sum()),
     )
-
-
-def bootstrap_mae_ci(
-    truth: np.ndarray,
-    predictions: np.ndarray,
-    *,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    seed: int | np.random.Generator | None = 0,
-) -> tuple[float, float, float]:
-    """Percentile-bootstrap CI for the MAE: ``(mae, low, high)``."""
-    check_positive_int(n_resamples, "n_resamples")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    truth = np.asarray(truth, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.float64)
-    check_same_shape(truth, predictions, ("truth", "predictions"))
-    errors = np.abs(truth - predictions)
-    if errors.size == 0:
-        raise ValueError("cannot bootstrap an empty target set")
-    rng = as_generator(seed)
-    idx = rng.integers(0, errors.size, size=(n_resamples, errors.size))
-    samples = errors[idx].mean(axis=1)
-    alpha = (1.0 - confidence) / 2.0
-    low, high = np.quantile(samples, [alpha, 1.0 - alpha])
-    return float(errors.mean()), float(low), float(high)

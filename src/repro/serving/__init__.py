@@ -28,8 +28,6 @@ See ``docs/robustness.md`` for the operational model and
 from repro.serving.batcher import BatchedPrediction, MicroBatcher
 from repro.serving.breaker import CircuitBreaker, CircuitState
 from repro.serving.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
     InvalidRequestError,
     ModelUnavailableError,
     OverloadedError,
@@ -44,9 +42,7 @@ from repro.serving.service import PredictionService, ServingResult, StageFailure
 __all__ = [
     "BatchedPrediction",
     "CircuitBreaker",
-    "CircuitOpenError",
     "CircuitState",
-    "DeadlineExceededError",
     "InvalidRequestError",
     "KernelPool",
     "MicroBatcher",

@@ -8,10 +8,8 @@ react per *kind* of failure instead of string-matching messages:
 ===============================  =======================================
 :class:`InvalidRequestError`     Malformed input — bad shapes, ids out of
                                  range, NaN / out-of-scale ratings.
-:class:`DeadlineExceededError`   A request's latency budget ran out.
 :class:`ModelUnavailableError`   No usable model (never loaded, or every
                                  load attempt failed).
-:class:`CircuitOpenError`        A chain stage is currently tripped.
 :class:`SnapshotError`           Umbrella for snapshot load problems.
 :class:`SnapshotCorruptError`    The snapshot file is damaged (bad zip,
                                  missing arrays, checksum mismatch).
@@ -22,10 +20,10 @@ react per *kind* of failure instead of string-matching messages:
 ===============================  =======================================
 
 The taxonomy deliberately multiple-inherits from the builtin types the
-pre-robustness code raised (``ValueError``, ``RuntimeError``,
-``TimeoutError``), so introducing it is backward compatible: callers
-that caught ``ValueError`` from :func:`repro.core.persistence.load_model`
-still catch :class:`SnapshotCorruptError`.
+pre-robustness code raised (``ValueError``, ``RuntimeError``), so
+introducing it is backward compatible: callers that caught
+``ValueError`` from :func:`repro.core.persistence.load_model` still
+catch :class:`SnapshotCorruptError`.
 
 This module has no dependencies on the rest of :mod:`repro` (or on
 NumPy) so any layer — including :mod:`repro.core` — may import it
@@ -37,9 +35,7 @@ from __future__ import annotations
 __all__ = [
     "ServingError",
     "InvalidRequestError",
-    "DeadlineExceededError",
     "ModelUnavailableError",
-    "CircuitOpenError",
     "OverloadedError",
     "SnapshotError",
     "SnapshotCorruptError",
@@ -60,23 +56,8 @@ class InvalidRequestError(ServingError, ValueError):
     """
 
 
-class DeadlineExceededError(ServingError, TimeoutError):
-    """A request (or batch remainder) exceeded its latency budget."""
-
-
 class ModelUnavailableError(ServingError, RuntimeError):
     """No model is available to serve with (and no last-known-good)."""
-
-
-class CircuitOpenError(ServingError, RuntimeError):
-    """A fallback-chain stage was skipped because its breaker is open."""
-
-    def __init__(self, stage: str, retry_in: float) -> None:
-        super().__init__(
-            f"circuit for stage {stage!r} is open (retry in {retry_in:.3f}s)"
-        )
-        self.stage = stage
-        self.retry_in = retry_in
 
 
 class SnapshotError(ServingError, ValueError):

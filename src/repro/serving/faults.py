@@ -159,6 +159,7 @@ class FlakyRecommender(_RecommenderProxy):
         self.failures_injected = 0
 
     def predict_many(self, given, users, items):
+        """Raise while failures remain, else delegate to the wrapped model."""
         self.calls += 1
         if self.fail_times is None or self.failures_injected < self.fail_times:
             self.failures_injected += 1
@@ -180,6 +181,7 @@ class SlowRecommender(_RecommenderProxy):
         self.calls = 0
 
     def predict_many(self, given, users, items):
+        """Sleep ``delay`` seconds, then delegate to the wrapped model."""
         self.calls += 1
         self._sleep(self.delay)
         return self.inner.predict_many(given, users, items)
@@ -203,12 +205,14 @@ class KillWorkerOnce:
     exit_code: int = 1
 
     def arm(self) -> "KillWorkerOnce":
+        """Create the flag file so the next hooked task kills its worker."""
         with open(self.flag_path, "w") as fh:
             fh.write("armed")
         return self
 
     @property
     def armed(self) -> bool:
+        """Whether the flag is still unclaimed (no worker has died yet)."""
         return os.path.exists(self.flag_path)
 
     def __call__(self, users: np.ndarray, items: np.ndarray) -> None:
@@ -258,10 +262,12 @@ class ManualClock:
         return self.now
 
     def advance(self, seconds: float) -> None:
+        """Move the clock forward by *seconds* (negative is an error)."""
         if seconds < 0:
             raise ValueError("time only moves forward")
         self.now += seconds
 
     def sleep(self, seconds: float) -> None:
+        """Record the requested sleep and advance the clock by it at once."""
         self.sleeps.append(float(seconds))
         self.advance(max(0.0, seconds))

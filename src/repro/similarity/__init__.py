@@ -10,7 +10,6 @@ from repro.similarity.extra import (
     adjusted_cosine,
     jaccard,
     mean_squared_difference,
-    spearman_rho,
 )
 from repro.similarity.pcc import Centering, item_pcc, pairwise_pcc, pcc_to_rows, user_pcc
 from repro.similarity.significance import (
@@ -34,7 +33,6 @@ __all__ = [
     "pairwise_pcc",
     "pcc_to_rows",
     "significance_weight",
-    "spearman_rho",
     "top_k_indices",
     "user_cosine",
     "user_pcc",

@@ -9,8 +9,6 @@ matters on a given dataset:
   (Sarwar et al. 2001's best item–item measure): removes rating-style
   generosity before comparing items, which is the user-side analogue
   of what PCC's item-centering does.
-* :func:`spearman_rho` — Pearson over within-column ranks; robust to
-  monotone distortions of the rating scale.
 * :func:`mean_squared_difference` — inverted MSD similarity
   (Shardanand & Maes 1995), ``1 / (1 + msd)``; bounded in (0, 1].
 * :func:`jaccard` — co-rating structure only (values ignored); the
@@ -30,7 +28,6 @@ from repro.utils.validation import check_mask, check_rating_matrix
 
 __all__ = [
     "adjusted_cosine",
-    "spearman_rho",
     "mean_squared_difference",
     "jaccard",
 ]
@@ -62,28 +59,6 @@ def adjusted_cosine(
     np.clip(sim, -1.0, 1.0, out=sim)
     np.fill_diagonal(sim, 1.0)
     return sim
-
-
-def spearman_rho(
-    values: np.ndarray, mask: np.ndarray, *, min_overlap: int = 2
-) -> np.ndarray:
-    """Spearman rank correlation between columns.
-
-    Ranks are computed per column over that column's observed entries
-    (average ranks for ties), then fed through the co-rated Pearson
-    kernel — the standard Spearman-with-missing-data treatment used in
-    early CF work (Herlocker et al. 1999).
-    """
-    from repro.similarity.pcc import pairwise_pcc
-    from scipy.stats import rankdata
-
-    R, W = _prep(values, mask)
-    ranks = np.zeros_like(R)
-    for col in range(R.shape[1]):
-        rows = np.nonzero(W[:, col])[0]
-        if rows.size:
-            ranks[rows, col] = rankdata(R[rows, col], method="average")
-    return pairwise_pcc(ranks, W, centering="corated_mean", min_overlap=min_overlap)
 
 
 def mean_squared_difference(

@@ -89,7 +89,9 @@ def top_k_indices(
     Notes
     -----
     Uses ``argpartition`` + a small sort so the cost is O(n + k log k),
-    not O(n log n) — this sits on the online path of CFSF.
+    not O(n log n).  Its caller is the SF baseline's per-request user
+    selection (:class:`~repro.baselines.sf.SimilarityFusion`); CFSF
+    selects its top-K users in :mod:`repro.core.selection`.
     """
     check_positive_int(k, "k")
     scores = np.asarray(scores, dtype=np.float64)

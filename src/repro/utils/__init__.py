@@ -17,14 +17,10 @@ Contents
     cache intermediate per-user results (the paper attributes part of
     its Fig. 5 response-time advantage to "caching intermediate
     results").
-``timing``
-    Wall-clock measurement helpers used by the scalability experiments
-    (Fig. 5) and by the benchmark harness.
 """
 
 from repro.utils.cache import LRUCache
 from repro.utils.rng import as_generator, spawn_seeds
-from repro.utils.timing import Stopwatch, time_call
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
@@ -34,12 +30,10 @@ from repro.utils.validation import (
 
 __all__ = [
     "LRUCache",
-    "Stopwatch",
     "as_generator",
     "check_fraction",
     "check_positive_int",
     "check_rating_matrix",
     "require",
     "spawn_seeds",
-    "time_call",
 ]

@@ -1,5 +1,4 @@
-"""Tests for the state-of-the-art baselines: SF, SCBPCC, EMDP, AM, PD,
-SlopeOne."""
+"""Tests for the state-of-the-art baselines: SF, SCBPCC, EMDP, AM, PD."""
 
 from __future__ import annotations
 
@@ -13,7 +12,6 @@ from repro.baselines import (
     MeanPredictor,
     PersonalityDiagnosis,
     SimilarityFusion,
-    SlopeOne,
 )
 from repro.data import RatingMatrix
 from repro.eval import mae
@@ -224,23 +222,3 @@ class TestPersonalityDiagnosis:
             PersonalityDiagnosis(sigma=0.0)
         with pytest.raises(ValueError):
             PersonalityDiagnosis(mode="median")
-
-
-class TestSlopeOne:
-    def test_hand_computed(self):
-        """Classic slope-one example."""
-        train = RatingMatrix(np.array([[1.0, 1.5], [2.0, 0.0]]), np.array([[True, True], [True, False]]))
-        model = SlopeOne().fit(train)
-        given = RatingMatrix(np.array([[2.0, 0.0]]), np.array([[True, False]]))
-        # dev(1, 0) = 0.5 from the one co-rater; prediction = 2.0 + 0.5.
-        assert model.predict(given, 0, 1) == pytest.approx(2.5)
-
-    def test_beats_global_mean(self, split_small):
-        users, items, truth = split_small.targets_arrays()
-        m_s1 = _score(SlopeOne(), split_small)
-        m_gm = mae(truth, np.full(truth.shape, split_small.train.global_mean()))
-        assert m_s1 < m_gm
-
-    def test_antisymmetric_devs(self, split_small):
-        model = SlopeOne().fit(split_small.train)
-        assert np.allclose(model._dev, -model._dev.T)

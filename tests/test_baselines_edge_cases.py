@@ -15,7 +15,6 @@ from repro.baselines import (
     NotFittedError,
     PersonalityDiagnosis,
     SimilarityFusion,
-    SlopeOne,
     UserBasedCF,
 )
 from repro.data import RatingMatrix
@@ -29,11 +28,10 @@ ALL_FACTORIES = [
     lambda: AspectModel(n_aspects=3, n_iter=5),
     lambda: PersonalityDiagnosis(),
     lambda: MeanPredictor("user_item"),
-    lambda: SlopeOne(),
     lambda: MatrixFactorization(n_factors=3, n_epochs=5),
 ]
 
-IDS = ["SIR", "SUR", "SF", "SCBPCC", "EMDP", "AM", "PD", "Mean", "SlopeOne", "MF"]
+IDS = ["SIR", "SUR", "SF", "SCBPCC", "EMDP", "AM", "PD", "Mean", "MF"]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,4 @@
-"""Tests for cross-validation, prediction explanations, and dataset
-diagnostics."""
+"""Tests for cross-validation and dataset diagnostics."""
 
 from __future__ import annotations
 
@@ -7,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import MeanPredictor
-from repro.core import CFSF, explain
 from repro.data import (
     RatingMatrix,
     gini_coefficient,
@@ -71,36 +69,6 @@ class TestCrossValidate:
 
         cross_validate(factory, ml_small, n_folds=3, given_n=6, seed=0)
         assert len(created) == 3
-
-
-class TestExplain:
-    def test_explanation_matches_prediction(self, cfsf_small, split_small):
-        users, items, _ = split_small.targets_arrays()
-        u, i = int(users[0]), int(items[0])
-        exp = explain(cfsf_small, split_small.given, u, i)
-        pred = cfsf_small.predict(split_small.given, u, i)
-        assert exp.prediction == pytest.approx(pred, abs=1e-9)
-
-    def test_contributions_ranked_and_bounded(self, cfsf_small, split_small):
-        exp = explain(cfsf_small, split_small.given, 0, 5, top_n=3)
-        for contribs in (exp.top_items, exp.top_users):
-            assert len(contribs) <= 3
-            shares = [c.weight_share for c in contribs]
-            assert all(0.0 < s <= 1.0 for s in shares)
-            assert shares == sorted(shares, reverse=True)
-
-    def test_component_weights_convex(self, cfsf_small, split_small):
-        exp = explain(cfsf_small, split_small.given, 0, 5)
-        assert sum(exp.component_weights) == pytest.approx(1.0)
-
-    def test_render_is_readable(self, cfsf_small, split_small):
-        text = explain(cfsf_small, split_small.given, 1, 7).render()
-        assert "prediction for user 1, item 7" in text
-        assert "SIR'" in text and "SUR'" in text
-
-    def test_top_n_validated(self, cfsf_small, split_small):
-        with pytest.raises(ValueError):
-            explain(cfsf_small, split_small.given, 0, 5, top_n=0)
 
 
 class TestDatasetStats:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import SyntheticConfig, make_movielens_like, make_timestamped
+from repro.data import SyntheticConfig, make_movielens_like
 from repro.data.synthetic import _item_popularity, _watch_probabilities
 
 
@@ -133,21 +133,3 @@ class TestPlantedStructure:
         rated = counts >= 5
         corr = np.corrcoef(counts[rated], means[rated])[0, 1]
         assert corr > 0.1
-
-
-class TestTimestamped:
-    def test_timestamps_cover_observed_cells(self):
-        cfg = SyntheticConfig(n_users=40, n_items=60, mean_ratings_per_user=15,
-                              min_ratings_per_user=5)
-        ds = make_timestamped(cfg, seed=0)
-        assert ds.timestamps is not None
-        assert ds.timestamps.shape == ds.ratings.shape
-        obs_times = ds.timestamps[ds.ratings.mask]
-        assert (obs_times >= 0.0).all() and (obs_times <= 1.0).all()
-
-    def test_drift_changes_scores(self):
-        cfg = SyntheticConfig(n_users=40, n_items=60, mean_ratings_per_user=15,
-                              min_ratings_per_user=5)
-        static = make_movielens_like(cfg, seed=5)
-        drifted = make_timestamped(cfg, seed=5, drift_sd=0.8)
-        assert not np.allclose(static.true_scores, drifted.true_scores)

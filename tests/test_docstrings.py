@@ -25,6 +25,7 @@ PACKAGES = [
     "repro.eval",
     "repro.obs",
     "repro.parallel",
+    "repro.serving",
     "repro.similarity",
     "repro.utils",
 ]

@@ -13,7 +13,6 @@ from repro.eval import (
     coverage,
     evaluate,
     evaluate_fitted,
-    format_comparison,
     format_paper_table,
     format_table,
     mae,
@@ -210,7 +209,3 @@ class TestReport:
     def test_ascii_plot_flat_series(self):
         out = ascii_plot([1, 2], {"s": [0.5, 0.5]})
         assert "0.500" in out
-
-    def test_format_comparison(self):
-        out = format_comparison({"a": 0.7}, {"a": 0.75})
-        assert "0.050" in out and "Delta" in out

@@ -14,7 +14,6 @@ from repro.baselines import (
     MeanPredictor,
     PersonalityDiagnosis,
     SimilarityFusion,
-    SlopeOne,
     UserBasedCF,
 )
 from repro.core import CFSF
@@ -38,7 +37,6 @@ def lineup_maes(split_small):
         "AM": AspectModel(n_aspects=8, n_iter=15),
         "PD": PersonalityDiagnosis(),
         "Mean": MeanPredictor("user_item"),
-        "SlopeOne": SlopeOne(),
     }
     for name, model in models.items():
         model.fit(split_small.train)

@@ -10,7 +10,6 @@ from repro.obs import MetricsRegistry, NULL_REGISTRY, use_registry
 from repro.serving import PredictionService
 from repro.serving.breaker import CircuitBreaker, CircuitState
 from repro.serving.faults import FlakyRecommender, ManualClock, poison_given
-from repro.utils.timing import TimingResult, time_call
 
 pytestmark = pytest.mark.obs
 
@@ -292,29 +291,6 @@ class TestBreakerMetrics:
             registry.counter_value("breaker.transitions", breaker="unnamed", to="open")
             == 1
         )
-
-
-class TestTimeCallRegistry:
-    def test_records_each_repeat(self):
-        registry = MetricsRegistry()
-        result = time_call(sum, range(100), repeats=4, registry=registry)
-        assert isinstance(result, TimingResult)
-        assert result.value == 4950 and len(result.seconds) == 4
-        hist = registry.histogram("timing.time_call")
-        assert hist.count == 4
-        assert hist.sum == pytest.approx(result.total, rel=0.05)
-
-    def test_custom_metric_name(self):
-        registry = MetricsRegistry()
-        time_call(sum, range(10), repeats=2, registry=registry, metric="fig5.online")
-        assert registry.histogram("fig5.online").count == 2
-
-    def test_disabled_or_absent_registry_records_nothing(self):
-        result = time_call(sum, range(10), repeats=2, registry=NULL_REGISTRY)
-        assert len(result.seconds) == 2
-        assert NULL_REGISTRY.histogram("timing.time_call").count == 0
-        # And the default (no registry) path is unchanged.
-        assert len(time_call(sum, range(10), repeats=2).seconds) == 2
 
 
 class TestDisabledOverheadPath:

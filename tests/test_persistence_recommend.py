@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines import MeanPredictor
-from repro.core import CFSF, load_model, recommend_for_all, recommend_top_n, save_model
+from repro.core import CFSF, load_model, recommend_top_n, save_model
+from repro.data import RatingMatrix
 from repro.core.persistence import FORMAT_VERSION
 
 
@@ -116,11 +116,17 @@ class TestRecommendTopN:
         pairs = rec.as_pairs()
         assert len(pairs) == 3 and isinstance(pairs[0][0], int)
 
-    def test_recommend_for_all(self, split_small):
-        model = MeanPredictor("item").fit(split_small.train)
-        recs = recommend_for_all(model, split_small.given, n=5)
-        assert len(recs) == split_small.given.n_users
-        assert all(len(r) == 5 for r in recs)
+    def test_ties_rank_lowest_index_first(self):
+        """A cut through tied scores keeps the lowest-indexed items."""
+
+        class TiedScores:
+            def predict_many(self, given, users, items):
+                return np.where(items % 2 == 0, 5.0, 4.0)
+
+        given = RatingMatrix(np.zeros((1, 1000)))
+        rec = recommend_top_n(TiedScores(), given, 0, n=10)
+        assert rec.items.tolist() == list(range(0, 20, 2))
+        assert (rec.scores == 5.0).all()
 
     def test_ranking_quality_beats_random(self, cfsf_small, split_small):
         """CFSF's top-N must hit held-out 'liked' items (rating >= 4)

@@ -1,5 +1,5 @@
-"""Property-based tests for the newer modules: IO round-trips, extra
-similarity measures, top-N contracts, and perturbation invariants."""
+"""Property-based tests for the extra similarity measures and the Gini
+coefficient."""
 
 from __future__ import annotations
 
@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.data import RatingMatrix, drop_ratings
-from repro.data.io import load_matrix, load_triplets, save_matrix, save_triplets
+from repro.data import RatingMatrix
 from repro.data.stats import gini_coefficient
 from repro.similarity import adjusted_cosine, jaccard, mean_squared_difference
 
@@ -27,30 +26,6 @@ def masked_matrices(draw, max_rows=10, max_cols=7):
         if not mask[r].any():
             mask[r, draw(st.integers(0, cols - 1))] = True
     return RatingMatrix(np.where(mask, values, 0.0), mask)
-
-
-class TestIoRoundtripProperties:
-    @given(masked_matrices())
-    @settings(max_examples=25, deadline=None)
-    def test_npz_roundtrip_lossless(self, rm):
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "m.npz")
-            save_matrix(rm, path)
-            loaded, _ = load_matrix(path)
-            assert loaded == rm
-
-    @given(masked_matrices())
-    @settings(max_examples=25, deadline=None)
-    def test_csv_roundtrip_lossless(self, rm):
-        import tempfile, os
-
-        with tempfile.TemporaryDirectory() as d:
-            path = os.path.join(d, "r.csv")
-            save_triplets(rm, path)
-            loaded, _ = load_triplets(path, n_users=rm.n_users, n_items=rm.n_items)
-            assert loaded == rm
 
 
 class TestExtraSimilarityProperties:
@@ -75,18 +50,6 @@ class TestExtraSimilarityProperties:
             jaccard(rm.mask),
         ):
             assert (sim >= 0.0).all() and (sim <= 1.0 + 1e-12).all()
-
-
-class TestPerturbationProperties:
-    @given(masked_matrices(), st.floats(0.0, 0.9), st.integers(0, 2**31 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_drop_ratings_invariants(self, rm, fraction, seed):
-        out = drop_ratings(rm, fraction, seed=seed, keep_min_per_user=1)
-        # never grows, survivors unchanged, per-user floor respected
-        assert out.n_ratings <= rm.n_ratings
-        assert (out.user_counts() >= 1).all()
-        assert np.allclose(out.values[out.mask], rm.values[out.mask])
-        assert (out.mask <= rm.mask).all()  # subset of original
 
 
 class TestGiniProperties:

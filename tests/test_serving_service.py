@@ -91,12 +91,16 @@ class TestHealthyPath:
         assert counts[str(cfsf_small.name)] == len(result) == users.size
         assert sum(counts.values()) == users.size
 
-    def test_single_request_wrapper(self, cfsf_small, split_small, reqs):
-        users, items = reqs
-        service = make_service(cfsf_small)
-        single = service.predict(split_small.given, int(users[0]), int(items[0]))
-        many = service.predict_many(split_small.given, users[:1], items[:1])
-        assert single == pytest.approx(float(many.predictions[0]))
+    def test_single_request_wrapper(self, cfsf_small, split_small, batch):
+        """Scalar and batched answers agree bit for bit."""
+        users, items = batch
+        scalar = make_service(cfsf_small)
+        single = np.array([
+            scalar.predict(split_small.given, int(u), int(i))
+            for u, i in zip(users, items)
+        ])
+        many = make_service(cfsf_small).predict_many(split_small.given, users, items)
+        assert np.array_equal(single, many.predictions)
 
     def test_counters_accumulate(self, cfsf_small, split_small, reqs):
         users, items = reqs

@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from repro.similarity import (
     adjusted_cosine,
     jaccard,
     mean_squared_difference,
-    spearman_rho,
 )
 
 
@@ -58,31 +56,6 @@ class TestAdjustedCosine:
         sim = adjusted_cosine(values, mask)
         assert sim[0, 1] == pytest.approx(1.0)
         assert sim[0, 2] < 0.0
-
-
-class TestSpearman:
-    def test_matches_scipy_on_full_columns(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(1, 5, size=(40, 4))
-        mask = np.ones((40, 4), dtype=bool)
-        sim = spearman_rho(values, mask)
-        for a, b in [(0, 1), (2, 3)]:
-            ref = stats.spearmanr(values[:, a], values[:, b]).statistic
-            assert sim[a, b] == pytest.approx(ref, abs=1e-8)
-
-    def test_invariant_to_monotone_transform(self):
-        rng = np.random.default_rng(4)
-        x = rng.uniform(1, 5, size=(30, 1))
-        values = np.hstack([x, np.exp(x)])   # monotone transform
-        mask = np.ones((30, 2), dtype=bool)
-        sim = spearman_rho(values, mask)
-        assert sim[0, 1] == pytest.approx(1.0)
-
-    def test_masked_bounded(self, masked_case):
-        values, mask = masked_case
-        sim = spearman_rho(values, mask)
-        assert np.isfinite(sim).all()
-        assert sim.min() >= -1.0 and sim.max() <= 1.0
 
 
 class TestMSD:

@@ -1,4 +1,4 @@
-"""Unit tests for repro.utils.rng and repro.utils.timing."""
+"""Unit tests for repro.utils.rng."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.utils.rng import as_generator, spawn_seeds
-from repro.utils.timing import Stopwatch, time_call
 
 
 class TestAsGenerator:
@@ -52,32 +51,3 @@ class TestSpawnSeeds:
         b = spawn_seeds(g, 3)
         assert a != b
 
-
-class TestStopwatch:
-    def test_accumulates_laps(self):
-        sw = Stopwatch()
-        for _ in range(3):
-            with sw:
-                sum(range(100))
-        assert sw.laps == 3 and sw.elapsed > 0.0
-        assert sw.mean == pytest.approx(sw.elapsed / 3)
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw:
-            pass
-        sw.reset()
-        assert sw.laps == 0 and sw.elapsed == 0.0 and sw.mean == 0.0
-
-
-class TestTimeCall:
-    def test_returns_value_and_times(self):
-        res = time_call(lambda a, b: a + b, 2, b=3, repeats=4)
-        assert res.value == 5
-        assert len(res.seconds) == 4
-        assert res.best <= res.mean <= res.total
-        assert res.total == pytest.approx(sum(res.seconds))
-
-    def test_rejects_zero_repeats(self):
-        with pytest.raises(ValueError):
-            time_call(lambda: None, repeats=0)
