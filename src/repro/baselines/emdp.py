@@ -40,6 +40,7 @@ from repro.similarity import (
     significance_weight,
     user_pcc,
 )
+from repro.utils.groups import user_blocks
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["EMDP"]
@@ -201,9 +202,7 @@ class EMDP(Recommender):
         )) * self._filled_mask
         out = np.empty(users.shape, dtype=np.float64)
 
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             b = int(users[block[0]])
             q_items = items[block]
             s = sims[b]  # (P,)

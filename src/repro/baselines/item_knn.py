@@ -27,6 +27,7 @@ import numpy as np
 from repro.baselines.base import Recommender, fallback_baseline
 from repro.data.matrix import RatingMatrix
 from repro.similarity import Centering, item_pcc, overlap_counts, significance_weight
+from repro.utils.groups import user_blocks
 
 __all__ = ["ItemBasedCF"]
 
@@ -112,10 +113,7 @@ class ItemBasedCF(Recommender):
 
         # Group queries by active user: each user's rated-item set is
         # gathered once and every queried item reuses it.
-        order = np.argsort(users, kind="stable")
-        sorted_users = users[order]
-        boundaries = np.nonzero(np.diff(sorted_users))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             u = users[block[0]]
             rated_idx, rated_vals = given.user_profile(u)
             q_items = items[block]

@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.baselines.base import Recommender, fallback_baseline
 from repro.data.matrix import RatingMatrix
+from repro.utils.groups import user_blocks
 
 __all__ = ["PersonalityDiagnosis"]
 
@@ -105,9 +106,7 @@ class PersonalityDiagnosis(Recommender):
         vals_axis = self.rating_values
         out = np.empty(users.shape, dtype=np.float64)
 
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             b = int(users[block[0]])
             q_items = items[block]
             logw = self._log_weights(given, b)

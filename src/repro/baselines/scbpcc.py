@@ -31,6 +31,7 @@ from repro.core.icluster import user_cluster_affinity
 from repro.core.selection import select_top_k_users
 from repro.core.smoothing import SmoothedRatings, smooth_ratings
 from repro.data.matrix import RatingMatrix
+from repro.utils.groups import user_blocks
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["SCBPCC"]
@@ -112,9 +113,7 @@ class SCBPCC(Recommender):
         out = np.empty(users.shape, dtype=np.float64)
         labels = smoothed.labels
 
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             b = int(users[block[0]])
             items_idx, ratings = given.user_profile(b)
             if items_idx.size == 0:

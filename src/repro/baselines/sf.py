@@ -27,6 +27,7 @@ from repro.core.fusion import fusion_weights
 from repro.core.gis import _top_m_order
 from repro.data.matrix import RatingMatrix
 from repro.similarity import item_pcc, pcc_to_rows, top_k_indices
+from repro.utils.groups import user_blocks
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["SimilarityFusion"]
@@ -110,9 +111,7 @@ class SimilarityFusion(Recommender):
         fallback = fallback_baseline(train, given, users, items)
         out = np.empty(users.shape, dtype=np.float64)
 
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             b = int(users[block[0]])
             q_items = items[block]
             mean_b = given_means[b]

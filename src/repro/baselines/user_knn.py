@@ -28,6 +28,7 @@ import numpy as np
 from repro.baselines.base import Recommender, fallback_baseline
 from repro.data.matrix import RatingMatrix
 from repro.similarity import Centering, pcc_to_rows
+from repro.utils.groups import user_blocks
 
 __all__ = ["UserBasedCF"]
 
@@ -113,9 +114,7 @@ class UserBasedCF(Recommender):
         fallback = fallback_baseline(train, given, users, items)
         out = np.empty(users.shape, dtype=np.float64)
 
-        order = np.argsort(users, kind="stable")
-        boundaries = np.nonzero(np.diff(users[order]))[0] + 1
-        for block in np.split(np.arange(users.size)[order], boundaries):
+        for block in user_blocks(users):
             b = users[block[0]]
             s = sims_all[b].copy()  # (P,)
             s[s <= self.min_sim] = 0.0

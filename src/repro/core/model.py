@@ -73,6 +73,7 @@ from repro.data.matrix import RatingMatrix
 from repro.obs import span
 from repro.serving.errors import InvalidRequestError
 from repro.utils.cache import LRUCache
+from repro.utils.groups import user_runs
 
 __all__ = ["CFSF", "ActiveUserState"]
 
@@ -410,13 +411,9 @@ class CFSF(Recommender):
         # Fuse user-sorted runs as blocks; the live-traffic shape (one
         # user, or requests a router grouped) is already sorted, so
         # only a shuffled batch pays the argsort and the scatter back.
-        order = None
-        diffs = np.diff(users)
-        if (diffs < 0).any():
-            order = np.argsort(users, kind="stable")
+        order, edges = user_runs(users)
+        if order is not None:
             users, items = users[order], items[order]
-            diffs = np.diff(users)
-        edges = [0, *(np.flatnonzero(diffs) + 1).tolist(), users.size]
         fused = kernel.fuse_many(
             [
                 (self.active_user_state(given, int(users[start])).prepared, items[start:stop])

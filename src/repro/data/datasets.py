@@ -15,8 +15,6 @@ entry points do not regenerate it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.data.matrix import RatingMatrix
 from repro.data.movielens import find_local_movielens, load_ratings_file, paper_subsample
 from repro.data.synthetic import SyntheticConfig, make_movielens_like
@@ -75,16 +73,3 @@ def _resolve(
     dataset = make_movielens_like(config, seed=seed)
     return "synthetic", dataset.ratings
 
-
-def shuffled_users(
-    matrix: RatingMatrix, *, seed: int = 0
-) -> RatingMatrix:
-    """Return *matrix* with user rows in a seeded random order.
-
-    The paper "randomly extracted" its 500 users before taking ordered
-    prefixes; applying this once before building splits removes any
-    accidental ordering in a loaded dataset.
-    """
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(matrix.n_users)
-    return matrix.subset_users(order)

@@ -55,17 +55,14 @@ class LoadedRatings:
     ratings: RatingMatrix
     user_ids: np.ndarray = field(repr=False)
     item_ids: np.ndarray = field(repr=False)
-    timestamps: np.ndarray | None = field(repr=False, default=None)
 
 
-def _parse_lines(
-    path: str, sep: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Parse ``user<sep>item<sep>rating<sep>timestamp`` lines."""
+def _parse_lines(path: str, sep: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Parse ``user<sep>item<sep>rating[<sep>timestamp]`` lines; any
+    field after the rating is ignored."""
     users: list[int] = []
     items: list[int] = []
     ratings: list[float] = []
-    times: list[float] = []
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
@@ -77,35 +74,28 @@ def _parse_lines(
             users.append(int(parts[0]))
             items.append(int(parts[1]))
             ratings.append(float(parts[2]))
-            times.append(float(parts[3]) if len(parts) > 3 else 0.0)
     if not users:
         raise ValueError(f"{path}: no ratings found")
     return (
         np.array(users, dtype=np.int64),
         np.array(items, dtype=np.int64),
         np.array(ratings, dtype=np.float64),
-        np.array(times, dtype=np.float64),
     )
 
 
-def _densify(
-    users: np.ndarray, items: np.ndarray, ratings: np.ndarray, times: np.ndarray
-) -> LoadedRatings:
+def _densify(users: np.ndarray, items: np.ndarray, ratings: np.ndarray) -> LoadedRatings:
     """Re-index ids densely and build the matrix."""
     user_ids, user_idx = np.unique(users, return_inverse=True)
     item_ids, item_idx = np.unique(items, return_inverse=True)
     P, Q = len(user_ids), len(item_ids)
     values = np.zeros((P, Q), dtype=np.float64)
     mask = np.zeros((P, Q), dtype=bool)
-    tstamps = np.zeros((P, Q), dtype=np.float64)
     values[user_idx, item_idx] = ratings
     mask[user_idx, item_idx] = True
-    tstamps[user_idx, item_idx] = times
     return LoadedRatings(
         ratings=RatingMatrix(values, mask, rating_scale=(1.0, 5.0)),
         user_ids=user_ids,
         item_ids=item_ids,
-        timestamps=tstamps if times.any() else None,
     )
 
 

@@ -51,6 +51,7 @@ from repro.serving.errors import (
     SnapshotError,
 )
 from repro.utils.cache import LRUCache
+from repro.utils.groups import user_blocks
 
 __all__ = ["PredictionService", "ServingResult", "StageFailure"]
 
@@ -122,6 +123,33 @@ class _Stage:
     breaker: CircuitBreaker
     served: Counter  # serving.fallback{stage=name}
     failures: Counter  # serving.stage.failures{stage=name}
+
+
+class _Call:
+    """One ``predict_many`` call's batch, handed from phase to phase.
+    ``miss_keys`` maps each request-cache miss's row to its key (``None``
+    without a cache); ``hit_rows`` lists the hits when some row missed."""
+
+    __slots__ = (
+        "t0", "users", "items", "invalid", "n_invalid", "predictions", "levels",
+        "sanitized", "deferred", "deadline_hit", "errors", "miss_keys",
+        "hit_rows", "cache_hits", "cache_misses",
+    )
+
+    def __init__(self, t0, users, items, invalid, n_invalid, fill, last_level) -> None:
+        n = users.size
+        self.t0 = t0
+        self.users, self.items = users, items
+        self.invalid, self.n_invalid = invalid, n_invalid
+        self.predictions = np.full(n, fill, dtype=np.float64)
+        self.levels = np.full(n, last_level, dtype=np.intp)
+        self.sanitized = np.zeros(n, dtype=bool)
+        self.deferred = np.zeros(n, dtype=bool)
+        self.deadline_hit = False
+        self.errors: list[StageFailure] = []
+        self.miss_keys: dict[int, tuple] | None = None
+        self.hit_rows: list[int] = []
+        self.cache_hits = self.cache_misses = 0
 
 
 class PredictionService:
@@ -314,9 +342,7 @@ class PredictionService:
             def item_knn(given: RatingMatrix, users: np.ndarray, items: np.ndarray) -> np.ndarray:
                 out = np.empty(users.size, dtype=np.float64)
                 umeans = given.user_means(fill=gmean)
-                order = np.argsort(users, kind="stable")
-                bounds = np.nonzero(np.diff(users[order]))[0] + 1
-                for block in np.split(np.arange(users.size)[order], bounds):
+                for block in user_blocks(users):
                     u = int(users[block[0]])
                     rated_idx, rated_vals = given.user_profile(u)
                     q = items[block]
@@ -450,6 +476,12 @@ class PredictionService:
     ) -> ServingResult:
         """Serve a batch; every request is answered, degraded or not.
 
+        The batch runs through named phases, in order: validate,
+        sanitise, probe the request cache, the primary's batched
+        passes, then the per-user-block chain walk; one helper builds
+        the result (and each ``on_final`` wave's), and the call is
+        counted as it returns.
+
         Parameters
         ----------
         given:
@@ -484,6 +516,35 @@ class PredictionService:
         t0 = self._clock()
         if self.model is None:  # pragma: no cover - constructor guards this
             raise ModelUnavailableError("service has no model installed")
+        call = self._validate(given, users, items, t0)
+        n = call.users.size
+        valid = np.arange(n, dtype=np.intp) if not call.n_invalid else np.flatnonzero(~call.invalid)
+        if valid.size:
+            cleaned, poisoned_users = self._sanitize_given(given)
+            if poisoned_users.any():
+                call.sanitized[valid] = poisoned_users[call.users[valid]]
+            work = self._probe_cache(call, cleaned, valid)
+            if on_final is not None and 0 < work.size < n:
+                # The cache hits and the out-of-range requests are final.
+                rows = call.hit_rows
+                if call.n_invalid:
+                    rows = sorted(rows + np.flatnonzero(call.invalid).tolist())
+                rows = np.asarray(rows, dtype=np.intp)
+                on_final(rows, self._result(call, rows))
+            if deadline is None and work.size:
+                work = self._primary_passes(call, cleaned, work, on_final)
+            self._walk_chain(call, cleaned, work, deadline)
+        result = self._result(call)
+        self._count(call, result.elapsed)
+        return result
+
+    def _validate(self, given: RatingMatrix, users, items, t0: float) -> _Call:
+        """Check the request arrays and start the call's record.
+
+        Out-of-range requests are flagged ``invalid`` (lenient mode) or
+        raise :class:`~repro.serving.errors.InvalidRequestError`
+        (strict mode), as does a *given* over another item space.
+        """
         try:
             users = np.asarray(users, dtype=np.intp)
             items = np.asarray(items, dtype=np.intp)
@@ -493,16 +554,7 @@ class PredictionService:
             raise InvalidRequestError(
                 f"users {users.shape} and items {items.shape} must be parallel 1-D arrays"
             )
-
         n = users.size
-        stages = self._stages
-        last_level = len(stages) - 1
-        predictions = np.full(n, self._global_mean, dtype=np.float64)
-        levels = np.full(n, last_level, dtype=np.intp)
-        deferred = np.zeros(n, dtype=bool)
-        errors: list[StageFailure] = []
-
-        # --- validation -------------------------------------------------
         # Four scalar reductions cover the overwhelmingly common
         # all-valid batch; the per-element mask arithmetic only runs
         # when some request is actually out of range.
@@ -515,12 +567,8 @@ class PredictionService:
             invalid = np.zeros(n, dtype=bool)
             n_invalid = 0
         else:
-            invalid = (
-                (users < 0)
-                | (users >= given.n_users)
-                | (items < 0)
-                | (items >= self._n_items)
-            )
+            invalid = (users < 0) | (users >= given.n_users)
+            invalid |= (items < 0) | (items >= self._n_items)
             n_invalid = int(invalid.sum())
         if given.n_items != self._n_items:
             if self.strict:
@@ -535,246 +583,198 @@ class PredictionService:
                 f"request {offender} (user={users[offender]}, item={items[offender]}) "
                 "is out of range"
             )
+        return _Call(t0, users, items, invalid, n_invalid, self._global_mean, len(self._stages) - 1)
 
-        sanitized_req = np.zeros(n, dtype=bool)
-        deadline_hit = False
-        cache_hits = cache_misses = 0
-        valid_idx = (
-            np.arange(n, dtype=np.intp) if not n_invalid else np.nonzero(~invalid)[0]
-        )
-        if valid_idx.size:
-            cleaned, poisoned_users = self._sanitize_given(given)
-            if poisoned_users.any():
-                sanitized_req[valid_idx] = poisoned_users[users[valid_idx]]
+    def _probe_cache(self, call: _Call, cleaned: RatingMatrix, valid: np.ndarray) -> np.ndarray:
+        """Answer the request-cache hits among *valid*; return the misses.
 
-            # --- request cache lookup ---------------------------------
-            # Keys cover the requesting user's row content, so a write
-            # to one profile leaves every other user's entries warm.
-            # They are built from plain-int lists (one tolist() pass)
-            # rather than per-element np scalar casts, and probed under
-            # one lock.  An all-hit batch fills its rows with one array
-            # assignment; per-row numpy writes would cost more than the
-            # lookups.
-            cache = self._request_cache
-            miss_keys: dict[int, tuple] = {}
-            hit_rows: list[int] = []
-            if cache is not None:
-                row_key, ver = cleaned.row_key, self.model_version
-                u_list = users.tolist()
-                i_list = items.tolist()
-                valid = valid_idx.tolist()
-                keys = [(row_key(u_list[r]), u_list[r], i_list[r], ver) for r in valid]
-                found = cache.get_many(keys)
-                if None in found:
-                    remaining = []
-                    for ridx, key, val in zip(valid, keys, found):
-                        if val is None:
-                            remaining.append(ridx)
-                            miss_keys[ridx] = key
-                        else:
-                            hit_rows.append(ridx)
-                            predictions[ridx] = val
-                            levels[ridx] = 0
-                    work_idx = np.asarray(remaining, dtype=np.intp)
+        Keys cover the requesting user's row content, so a write to one
+        profile leaves every other user's entries warm.  They are built
+        from plain-int lists (one ``tolist()`` pass) rather than
+        per-element np scalar casts, and probed under one lock.  An
+        all-hit batch fills its rows with one array assignment; per-row
+        numpy writes would cost more than the lookups.
+        """
+        cache = self._request_cache
+        if cache is None:
+            return valid
+        row_key, ver = cleaned.row_key, self.model_version
+        u_list = call.users.tolist()
+        i_list = call.items.tolist()
+        rows = valid.tolist()
+        keys = [(row_key(u_list[r]), u_list[r], i_list[r], ver) for r in rows]
+        found = cache.get_many(keys)
+        call.miss_keys = miss_keys = {}
+        predictions, levels, hit_rows = call.predictions, call.levels, call.hit_rows
+        if None in found:
+            for r, key, val in zip(rows, keys, found):
+                if val is None:
+                    miss_keys[r] = key
                 else:
-                    predictions[valid_idx] = found
-                    levels[valid_idx] = 0
-                    work_idx = valid_idx[:0]
-                cache_misses = work_idx.size
-                cache_hits = valid_idx.size - cache_misses
-            else:
-                work_idx = valid_idx
-
-            if on_final is not None:
-                lo, hi = self._scale
-
-                def hand_off(rows: np.ndarray) -> None:
-                    # (np.minimum of np.maximum is np.clip, for less
-                    # per-call overhead on a handful of rows.)
-                    on_final(rows, ServingResult(
-                        predictions=np.minimum(np.maximum(predictions[rows], lo), hi),
-                        fallback_level=levels[rows],
-                        stage_names=self.stage_names,
-                        invalid=invalid[rows],
-                        sanitized=sanitized_req[rows],
-                        deadline_deferred=deferred[rows],
-                        deadline_hit=False,
-                        elapsed=self._clock() - t0,
-                    ))
-
-                if 0 < work_idx.size < n:
-                    final = hit_rows
-                    if n_invalid:
-                        final = sorted(hit_rows + np.flatnonzero(invalid).tolist())
-                    hand_off(np.asarray(final, dtype=np.intp))
-
-            # Without a deadline, first try the primary stage on the
-            # whole batch at once — the model's batched kernel fuses
-            # every request in one pass.  With an on_final hook, the
-            # users whose state is warm are fused first and handed
-            # off, so their answers do not wait out another user's
-            # fold-in; the rest follow in a second pass.  If a pass
-            # fails (or the primary's breaker is open), or a deadline
-            # needs mid-batch deferral, walk the chain per user block
-            # so faults and budget cuts stay isolated per user.  A
-            # failed pass counts against the primary's breaker like a
-            # block's.
-            if deadline is None and work_idx.size:
-                passes = [work_idx]
-                if on_final is not None and self._has_state is not None:
-                    passes = self._split_warm(cleaned, users, work_idx)
-                failed = []
-                for k, idx in enumerate(passes, 1):
-                    fast = self._try_stage(stages[0], cleaned, users[idx], items[idx], errors)
-                    if fast is None:
-                        failed.append(idx)
-                        continue
-                    predictions[idx] = fast
-                    levels[idx] = 0
-                    if cache is not None:
-                        cache.put_many([miss_keys[r] for r in idx.tolist()], fast.tolist())
-                    if k < len(passes):
-                        hand_off(idx)
-                work_idx = (
-                    np.concatenate(failed) if failed else np.empty(0, dtype=np.intp)
-                )
-            if work_idx.size:
-                w_users = users[work_idx]
-                order = np.argsort(w_users, kind="stable")
-                bounds = np.nonzero(np.diff(w_users[order]))[0] + 1
-                blocks = np.split(work_idx[order], bounds)
-            else:
-                blocks = []
-            cheap = self._deadline_level
-            for block in blocks:
-                if (
-                    deadline is not None
-                    and self._clock() - t0 >= deadline
-                ):
-                    deadline_hit = True
-                    predictions[block] = stages[cheap].fn(
-                        cleaned, users[block], items[block]
-                    )
-                    levels[block] = cheap
-                    deferred[block] = True
-                    continue
-                predictions[block], level = self._predict_block(
-                    cleaned, users[block], items[block], errors
-                )
-                levels[block] = level
-                if cache is not None and level == 0:
-                    cache.put_many(
-                        [miss_keys[r] for r in block.tolist()], predictions[block].tolist()
-                    )
-
-        elapsed = self._clock() - t0
-        n_deferred = int(deferred.sum()) if deadline_hit else 0
-        n_sanitized = int(sanitized_req.sum())
-        n_fallback = int(np.count_nonzero(levels))
-        if n_invalid or n_deferred or n_sanitized:
-            n_degraded = int(
-                ((levels > 0) | invalid | sanitized_req | deferred).sum()
-            )
+                    hit_rows.append(r)
+                    predictions[r] = val
+                    levels[r] = 0
+            work = np.asarray(list(miss_keys), dtype=np.intp)
         else:
-            n_degraded = n_fallback
-        self._m_requests.inc(n)
-        self._m_latency.observe(elapsed)
-        if n_fallback:
-            counts = np.bincount(levels, minlength=len(stages)).tolist()
-            for stage, count in zip(stages, counts):
-                if count:
-                    stage.served.inc(count)
-        elif n:
-            stages[0].served.inc(n)
-        if n_invalid:
-            self._m_invalid.inc(n_invalid)
-        if n_sanitized:
-            self._m_sanitized.inc(n_sanitized)
-        if n_deferred:
-            self._m_deferred.inc(n_deferred)
-        if n_degraded:
-            self._m_degraded.inc(n_degraded)
-        if cache_hits:
-            self._m_cache_hits.inc(cache_hits)
-        if cache_misses:
-            self._m_cache_misses.inc(cache_misses)
-        return ServingResult(
-            predictions=np.clip(predictions, *self._scale),
-            fallback_level=levels,
-            stage_names=self.stage_names,
-            invalid=invalid,
-            sanitized=sanitized_req,
-            deadline_deferred=deferred,
-            deadline_hit=deadline_hit,
-            elapsed=elapsed,
-            errors=tuple(errors),
-        )
+            predictions[valid] = found
+            levels[valid] = 0
+            work = valid[:0]
+        call.cache_misses = work.size
+        call.cache_hits = valid.size - work.size
+        return work
 
-    def _split_warm(
-        self, given: RatingMatrix, users: np.ndarray, work_idx: np.ndarray
-    ) -> list[np.ndarray]:
-        """*work_idx* as one pass, or as the rows of users whose state
-        is warm followed by the rest, when it holds both kinds."""
-        rows = work_idx.tolist()
-        row_users = users[work_idx].tolist()
-        distinct = set(row_users)
+    def _primary_passes(
+        self, call: _Call, cleaned: RatingMatrix, work: np.ndarray, on_final
+    ) -> np.ndarray:
+        """Try the primary stage on *work* in batched passes; return the
+        rows of the passes that failed.
+
+        The model's batched kernel fuses every request of a pass at
+        once.  With an *on_final* hook, when *work* holds users whose
+        state is warm and users who need a fold-in, the warm users'
+        rows are fused first and handed over, so their answers do not
+        wait out another user's fold-in; the rest follow in a second
+        pass.  A failed pass counts against the primary's breaker like
+        a block's.
+        """
+        passes = [work]
         has_state = self._has_state
-        warm = {u for u in distinct if has_state(given, u)}
-        if not warm or len(warm) == len(distinct):
-            return [work_idx]
-        first = [r for r, u in zip(rows, row_users) if u in warm]
-        rest = [r for r, u in zip(rows, row_users) if u not in warm]
-        return [np.asarray(first, dtype=np.intp), np.asarray(rest, dtype=np.intp)]
+        if on_final is not None and has_state is not None:
+            work_rows, row_users = work.tolist(), call.users[work].tolist()
+            distinct = set(row_users)
+            warm = {u for u in distinct if has_state(cleaned, u)}
+            if warm and len(warm) < len(distinct):
+                first = [r for r, u in zip(work_rows, row_users) if u in warm]
+                rest = [r for r, u in zip(work_rows, row_users) if u not in warm]
+                passes = [np.asarray(first, dtype=np.intp), np.asarray(rest, dtype=np.intp)]
+        failed = []
+        for k, rows in enumerate(passes, 1):
+            out = self._try_stage(self._stages[0], cleaned, call, rows)
+            if out is None:
+                failed.append(rows)
+                continue
+            self._answer(call, rows, out, 0)
+            if k < len(passes):
+                on_final(rows, self._result(call, rows))
+        return np.concatenate(failed) if failed else work[:0]
+
+    def _walk_chain(
+        self, call: _Call, cleaned: RatingMatrix, work: np.ndarray, deadline: float | None
+    ) -> None:
+        """Serve *work* down the chain per user block, so faults and
+        budget cuts stay isolated per user.
+
+        Once *deadline* is spent, each remaining block goes to the cheap
+        user-mean stage and is flagged ``deadline_deferred``.  A block
+        every stage fails (or skips, its breaker open) is served the
+        stored global mean.
+        """
+        if not work.size:
+            return
+        cheap = self._deadline_level
+        for block in user_blocks(call.users[work], work):
+            if deadline is not None and self._clock() - call.t0 >= deadline:
+                call.deadline_hit = True
+                call.deferred[block] = True
+                out = self._stages[cheap].fn(cleaned, call.users[block], call.items[block])
+                self._answer(call, block, out, cheap)
+                continue
+            for level, stage in enumerate(self._stages):
+                out = self._try_stage(stage, cleaned, call, block)
+                if out is not None:
+                    break
+            else:
+                out = np.full(block.size, self._global_mean)
+            self._answer(call, block, out, level)
 
     def _try_stage(
-        self,
-        stage: _Stage,
-        given: RatingMatrix,
-        users: np.ndarray,
-        items: np.ndarray,
-        errors: list[StageFailure],
+        self, stage: _Stage, given: RatingMatrix, call: _Call, rows: np.ndarray
     ) -> np.ndarray | None:
-        """One guarded attempt at *stage*; ``None`` means move on.
+        """One guarded attempt at *stage* on the call's *rows*; ``None``
+        means move on.
 
         The stage is skipped while its breaker is open.  A raise, or an
         output that is misshapen or non-finite, is recorded against the
-        breaker, the stage's failure counter and *errors* (up to
-        ``_MAX_ERRORS_PER_CALL``).
+        breaker, the stage's failure counter and the call's errors (up
+        to ``_MAX_ERRORS_PER_CALL``).
         """
         breaker = stage.breaker
         if not breaker.allow():
             return None
         try:
-            out = np.asarray(stage.fn(given, users, items), dtype=np.float64)
-            if out.shape != users.shape or not np.isfinite(out).all():
+            out = np.asarray(stage.fn(given, call.users[rows], call.items[rows]), dtype=np.float64)
+            if out.shape != rows.shape or not np.isfinite(out).all():
                 raise InvalidRequestError(
                     f"stage {stage.name!r} produced non-finite or misshapen output"
                 )
         except Exception as exc:  # noqa: BLE001 - the chain absorbs stage faults
             breaker.record_failure()
             stage.failures.inc()
-            if len(errors) < _MAX_ERRORS_PER_CALL:
-                errors.append(
-                    StageFailure(stage.name, f"{type(exc).__name__}: {exc}", users.size)
+            if len(call.errors) < _MAX_ERRORS_PER_CALL:
+                call.errors.append(
+                    StageFailure(stage.name, f"{type(exc).__name__}: {exc}", rows.size)
                 )
             return None
         breaker.record_success()
         return out
 
-    def _predict_block(
-        self,
-        given: RatingMatrix,
-        users: np.ndarray,
-        items: np.ndarray,
-        errors: list[StageFailure],
-    ) -> tuple[np.ndarray, int]:
-        """Walk the chain for one per-user block; never raises."""
-        for level, stage in enumerate(self._stages):
-            out = self._try_stage(stage, given, users, items, errors)
-            if out is not None:
-                return out, level
-        # Every stage failed or is open; the stored scalar still serves.
-        return np.full(users.size, self._global_mean), len(self._stages) - 1
+    def _answer(self, call: _Call, rows: np.ndarray, values: np.ndarray, level: int) -> None:
+        """Record *values* as the answers at *rows*, served by stage
+        *level*; the primary's answers also go into the request cache."""
+        call.predictions[rows] = values
+        call.levels[rows] = level
+        keys = call.miss_keys
+        if level == 0 and keys is not None:
+            self._request_cache.put_many([keys[r] for r in rows.tolist()], values.tolist())
+
+    def _result(self, call: _Call, rows: np.ndarray | None = None) -> ServingResult:
+        """The call's result: over the whole batch, or over *rows* for
+        an ``on_final`` wave.  (``np.minimum`` of ``np.maximum`` is
+        ``np.clip``, for less per-call overhead.)"""
+        lo, hi = self._scale
+        rows = slice(None) if rows is None else rows
+        return ServingResult(
+            predictions=np.minimum(np.maximum(call.predictions[rows], lo), hi),
+            fallback_level=call.levels[rows],
+            stage_names=self.stage_names,
+            invalid=call.invalid[rows],
+            sanitized=call.sanitized[rows],
+            deadline_deferred=call.deferred[rows],
+            deadline_hit=call.deadline_hit,
+            elapsed=self._clock() - call.t0,
+            errors=tuple(call.errors),
+        )
+
+    def _count(self, call: _Call, elapsed: float) -> None:
+        """Count the call into the registry, once, as it returns."""
+        levels, n = call.levels, call.levels.size
+        n_deferred = int(call.deferred.sum()) if call.deadline_hit else 0
+        n_sanitized = int(call.sanitized.sum())
+        n_fallback = int(np.count_nonzero(levels))
+        n_degraded = n_fallback
+        if call.n_invalid or n_deferred or n_sanitized:
+            n_degraded = int(((levels > 0) | call.invalid | call.sanitized | call.deferred).sum())
+        self._m_requests.inc(n)
+        self._m_latency.observe(elapsed)
+        if n_fallback:
+            counts = np.bincount(levels, minlength=len(self._stages)).tolist()
+            for stage, count in zip(self._stages, counts):
+                if count:
+                    stage.served.inc(count)
+        elif n:
+            self._stages[0].served.inc(n)
+        if call.n_invalid:
+            self._m_invalid.inc(call.n_invalid)
+        if n_sanitized:
+            self._m_sanitized.inc(n_sanitized)
+        if n_deferred:
+            self._m_deferred.inc(n_deferred)
+        if n_degraded:
+            self._m_degraded.inc(n_degraded)
+        if call.cache_hits:
+            self._m_cache_hits.inc(call.cache_hits)
+        if call.cache_misses:
+            self._m_cache_misses.inc(call.cache_misses)
 
     # ------------------------------------------------------------------
     # Introspection

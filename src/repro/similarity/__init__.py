@@ -18,7 +18,7 @@ from repro.similarity.significance import (
     significance_weight,
     top_k_indices,
 )
-from repro.similarity.vss import item_cosine, pairwise_cosine, user_cosine
+from repro.similarity.vss import item_cosine, pairwise_cosine
 
 __all__ = [
     "Centering",
@@ -34,6 +34,5 @@ __all__ = [
     "pcc_to_rows",
     "significance_weight",
     "top_k_indices",
-    "user_cosine",
     "user_pcc",
 ]

@@ -80,6 +80,10 @@ def top_k_indices(
     """Indices of the *k* largest entries of a 1-D score vector, sorted
     by descending score.
 
+    Equal to ``np.argsort(-scores, kind="stable")[:k]`` less its
+    non-finite scores: ties at the cut keep the lowest indices, and
+    tied entries keep index order.
+
     Parameters
     ----------
     exclude:
@@ -88,10 +92,11 @@ def top_k_indices(
 
     Notes
     -----
-    Uses ``argpartition`` + a small sort so the cost is O(n + k log k),
-    not O(n log n).  Its caller is the SF baseline's per-request user
-    selection (:class:`~repro.baselines.sf.SimilarityFusion`); CFSF
-    selects its top-K users in :mod:`repro.core.selection`.
+    Uses a ``partition`` cut + a small sort so the cost is
+    O(n + k log k), not O(n log n).  Its caller is the SF baseline's
+    per-request user selection
+    (:class:`~repro.baselines.sf.SimilarityFusion`); CFSF selects its
+    top-K users in :mod:`repro.core.selection`.
     """
     check_positive_int(k, "k")
     scores = np.asarray(scores, dtype=np.float64)
@@ -103,7 +108,11 @@ def top_k_indices(
     k = min(k, scores.size - (1 if exclude is not None else 0))
     if k <= 0:
         return np.empty(0, dtype=np.intp)
-    part = np.argpartition(-scores, k - 1)[:k]
-    order = np.argsort(-scores[part], kind="stable")
-    top = part[order]
+    neg = -scores
+    neg[np.isnan(neg)] = np.inf  # NaN ranks last, as in a sort
+    kth = np.partition(neg, k - 1)[k - 1]
+    keep = neg < kth
+    keep[np.flatnonzero(neg == kth)[: k - np.count_nonzero(keep)]] = True
+    top = np.flatnonzero(keep)
+    top = top[np.argsort(neg[top], kind="stable")]
     return top[np.isfinite(scores[top])]

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.utils.validation import check_mask, check_rating_matrix
 
-__all__ = ["pairwise_cosine", "item_cosine", "user_cosine"]
+__all__ = ["pairwise_cosine", "item_cosine"]
 
 
 def pairwise_cosine(
@@ -80,14 +80,3 @@ def item_cosine(
     """Item–item VSS: columns of the user-major matrix."""
     return pairwise_cosine(values, mask, corated=corated, min_overlap=min_overlap)
 
-
-def user_cosine(
-    values: np.ndarray, mask: np.ndarray, *, corated: bool = True, min_overlap: int = 1
-) -> np.ndarray:
-    """User–user VSS: columns of the transposed matrix."""
-    return pairwise_cosine(
-        np.ascontiguousarray(values.T),
-        np.ascontiguousarray(mask.T),
-        corated=corated,
-        min_overlap=min_overlap,
-    )

@@ -12,6 +12,9 @@ Contents
     Seed plumbing: every stochastic component in the library accepts
     ``seed`` / ``rng`` arguments that are normalised through
     :func:`repro.utils.rng.as_generator`.
+``groups``
+    Group a request batch by user (:func:`~repro.utils.groups.user_runs`),
+    the one grouping every batched ``predict_many`` serves blocks by.
 ``cache``
     A small, bounded LRU cache used by the online phase of CFSF to
     cache intermediate per-user results (the paper attributes part of
@@ -20,7 +23,8 @@ Contents
 """
 
 from repro.utils.cache import LRUCache
-from repro.utils.rng import as_generator, spawn_seeds
+from repro.utils.groups import user_blocks, user_runs
+from repro.utils.rng import as_generator
 from repro.utils.validation import (
     check_fraction,
     check_positive_int,
@@ -35,5 +39,6 @@ __all__ = [
     "check_positive_int",
     "check_rating_matrix",
     "require",
-    "spawn_seeds",
+    "user_blocks",
+    "user_runs",
 ]

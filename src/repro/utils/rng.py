@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_generator", "spawn_seeds", "DEFAULT_ROOT_SEED"]
+__all__ = ["as_generator", "DEFAULT_ROOT_SEED"]
 
 #: Root seed used by the benchmark harness and examples when the caller
 #: does not provide one.  Chosen arbitrarily; fixed so that the tables
@@ -38,16 +38,3 @@ def as_generator(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
         return np.random.default_rng(int(seed))
     raise TypeError(f"seed must be None, int or numpy Generator, got {type(seed).__name__}")
-
-
-def spawn_seeds(seed: int | np.random.Generator | None, n: int) -> list[int]:
-    """Derive *n* independent child seeds from a root seed.
-
-    Used by the parallel executor to give each worker process its own
-    deterministic stream without sharing generator state across process
-    boundaries (generators do not survive ``fork`` + concurrent use).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rng = as_generator(seed)
-    return [int(s) for s in rng.integers(0, 2**63 - 1, size=n)]

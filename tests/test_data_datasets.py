@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data import clear_dataset_cache, dataset_source, default_dataset
-from repro.data.datasets import shuffled_users
 from repro.data import SyntheticConfig
 
 
@@ -48,22 +46,3 @@ class TestDefaultDataset:
         src = dataset_source(seed=0, config=SMALL, prefer_real=False)
         rm = default_dataset(seed=0, config=SMALL, prefer_real=False)
         assert src == "synthetic" and rm.n_users == 30
-
-
-class TestShuffledUsers:
-    def test_permutation_preserves_multiset(self):
-        rm = default_dataset(seed=0, config=SMALL, prefer_real=False)
-        out = shuffled_users(rm, seed=3)
-        assert out.n_ratings == rm.n_ratings
-        assert sorted(out.user_counts().tolist()) == sorted(rm.user_counts().tolist())
-
-    def test_deterministic(self):
-        rm = default_dataset(seed=0, config=SMALL, prefer_real=False)
-        a = shuffled_users(rm, seed=3)
-        b = shuffled_users(rm, seed=3)
-        assert a == b
-
-    def test_actually_shuffles(self):
-        rm = default_dataset(seed=0, config=SMALL, prefer_real=False)
-        out = shuffled_users(rm, seed=3)
-        assert out != rm

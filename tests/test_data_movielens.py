@@ -48,13 +48,6 @@ class TestLoad100k:
         i = list(loaded.item_ids).index(10)
         assert loaded.ratings.values[u, i] == 5.0
 
-    def test_timestamps_kept(self, tmp_path):
-        f = tmp_path / "u.data"
-        write_100k(f, ROWS)
-        loaded = load_ml100k(str(f))
-        assert loaded.timestamps is not None
-        assert loaded.timestamps[0, 0] == 881250949
-
     def test_blank_lines_skipped(self, tmp_path):
         f = tmp_path / "u.data"
         f.write_text("1\t10\t5\t0\n\n2\t10\t4\t0\n")

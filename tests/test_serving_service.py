@@ -14,6 +14,7 @@ single-user slice would exercise only one block).
 
 from __future__ import annotations
 
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -588,3 +589,201 @@ class TestAcceptanceScenario:
         recovered = service.predict_many(split_small.given, users, items)
         assert service.breaker_states()[str(cfsf_small.name)] == "closed"
         assert (recovered.fallback_level == 0).all()
+
+
+# ----------------------------------------------------------------------
+# Mode matrix: the hook, the request cache, validation, sanitising,
+# deadlines and a failing primary change how a batch is served, never
+# what its result and the registry say about it
+# ----------------------------------------------------------------------
+def _cold_copy(model):
+    """A private copy of *model* with no per-user state cached."""
+    private = copy.deepcopy(model)
+    private.build_online_kernel()
+    return private
+
+
+def _mixed_batch(split, *, out_of_range=True):
+    """``(users, items, firsts)``: up to three held-out pairs of each of
+    six users and, with *out_of_range*, three out-of-range requests,
+    shuffled.  ``firsts`` lists the six users in ascending order."""
+    users, items, _ = split.targets_arrays()
+    starts = np.unique(users, return_index=True)[1][:6]
+    pairs = [
+        (int(users[s + j]), int(items[s + j]))
+        for s in starts.tolist()
+        for j in range(3)
+        if s + j < users.size and users[s + j] == users[s]
+    ]
+    if out_of_range:
+        pairs += [(10_000, 0), (-1, 3), (0, 10_000)]
+    pairs = [pairs[k] for k in np.random.default_rng(7).permutation(len(pairs))]
+    firsts = users[starts].tolist()
+    return np.array([u for u, _ in pairs]), np.array([i for _, i in pairs]), firsts
+
+
+def _at(result, rows=slice(None)):
+    """*result*'s per-request fields at *rows*, as plain lists."""
+    return [
+        getattr(result, name)[rows].tolist()
+        for name in ("predictions", "fallback_level", "invalid", "sanitized", "deadline_deferred")
+    ]
+
+
+def _fields(result):
+    """Every field of *result*, as plain comparable values."""
+    return (
+        *_at(result), result.stage_names, result.deadline_hit, result.elapsed, result.errors,
+    )
+
+
+def _registry_totals(service):
+    """What the service's registry has counted."""
+    value = service.metrics.counter_value
+    latency = service.metrics.histogram("serving.request.latency")
+    return {
+        "requests": value("serving.requests"),
+        "invalid": value("serving.invalid"),
+        "sanitized": value("serving.sanitized"),
+        "deferred": value("serving.deadline.deferred"),
+        "degraded": value("serving.degraded"),
+        "cache": (value("serving.cache.hits"), value("serving.cache.misses")),
+        "served": [value("serving.fallback", stage=s) for s in service.stage_names],
+        "failures": [value("serving.stage.failures", stage=s) for s in service.stage_names],
+        "latency": (latency.count, latency.sum),
+    }
+
+
+def _counted_since(before, after):
+    """The totals counted between two :func:`_registry_totals` reads."""
+    def minus(a, b):
+        return type(a)(x - y for x, y in zip(a, b)) if isinstance(a, (tuple, list)) else a - b
+
+    return {key: minus(after[key], before[key]) for key in after}
+
+
+def _implied_totals(service, result, cache_hits=0):
+    """The totals one call over an empty registry should count."""
+    valid = int((~result.invalid).sum())
+    failed = [f.stage for f in result.errors]
+    return {
+        "requests": len(result),
+        "invalid": int(result.invalid.sum()),
+        "sanitized": int(result.sanitized.sum()),
+        "deferred": int(result.deadline_deferred.sum()),
+        "degraded": int(result.degraded.sum()),
+        "cache": (
+            (cache_hits, valid - cache_hits)
+            if service._request_cache is not None and valid else (0, 0)
+        ),
+        "served": np.bincount(
+            result.fallback_level, minlength=len(service.stage_names)
+        ).tolist(),
+        "failures": [failed.count(s) for s in service.stage_names],
+        "latency": (1, result.elapsed),
+    }
+
+
+def _served(service, given, users, items, *, hook, deadline=None):
+    """One call; with *hook*, each wave ``on_final`` is handed is
+    checked against the returned result."""
+    waves = []
+    on_final = (lambda rows, early: waves.append((rows.copy(), early))) if hook else None
+    result = service.predict_many(given, users, items, deadline=deadline, on_final=on_final)
+    seen: set[int] = set()
+    for rows, early in waves:
+        assert rows.tolist() == sorted(set(rows.tolist()))
+        assert not seen & set(rows.tolist())
+        seen |= set(rows.tolist())
+        assert _at(early) == _at(result, rows)
+        assert early.stage_names == result.stage_names
+        assert not early.deadline_hit and early.errors == ()
+        assert early.elapsed <= result.elapsed
+    return result
+
+
+@pytest.mark.parametrize("cache", ["off", "cold", "partial", "warm"])
+def test_the_hook_and_the_cache_change_no_field_and_no_total(cache, cfsf_small, split_small):
+    """With ``on_final`` set or not (one, two or three waves), and a
+    request cache off, cold, partly or wholly warm, the returned result equals field for field
+    (``elapsed`` included, under a manual clock) one served with the
+    cache off and no hook, and the registry counts the same totals."""
+    given = split_small.given
+    users, items, firsts = _mixed_batch(split_small)
+    warm_users = firsts[:3]
+    valid = (users >= 0) & (users < given.n_users) & (items >= 0) & (items < given.n_items)
+    warm_rows = np.isin(users, warm_users)
+
+    def serve(mode, hook):
+        clock = ManualClock(5.0)
+        model = _cold_copy(cfsf_small)
+        service = make_service(
+            model, clock=clock, sleep=clock.sleep, metrics=MetricsRegistry(),
+            request_cache_size=0 if mode == "off" else 1024,
+        )
+        hits = 0
+        if mode in ("off", "cold"):
+            for user in warm_users:
+                model.active_user_state(given, user)
+        elif mode == "partial":
+            service.predict_many(given, users[warm_rows], items[warm_rows])
+            model.active_user_state(given, firsts[3])
+            hits = int((warm_rows & valid).sum())
+        else:
+            service.predict_many(given, users, items)
+            hits = int(valid.sum())
+        before = _registry_totals(service)
+        result = _served(service, given, users, items, hook=hook)
+        counted = _counted_since(before, _registry_totals(service))
+        assert counted == _implied_totals(service, result, hits)
+        return _fields(result), counted
+
+    reference, _ = serve("off", False)
+    plain, plain_totals = serve(cache, False)
+    hooked, hooked_totals = serve(cache, True)
+    assert plain == reference
+    assert hooked == reference
+    assert hooked_totals == plain_totals
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("failing", [False, True], ids=["healthy", "failing"])
+@pytest.mark.parametrize("deadline", [None, 0.0, 60.0], ids=["none", "expired", "generous"])
+@pytest.mark.parametrize("poisoned", [False, True], ids=["clean", "poisoned"])
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_registry_totals_are_what_the_result_says(
+    strict, poisoned, deadline, failing, cfsf_small, split_small
+):
+    """Across lenient or strict validation, a clean or poisoned given,
+    no, an expired or a generous deadline, and a healthy or failing
+    primary: the registry counts exactly what the result reports, and
+    serving with or without ``on_final`` changes neither."""
+    users, items, firsts = _mixed_batch(split_small, out_of_range=not strict)
+    given = split_small.given
+    if poisoned:
+        given = poison_given(given, [(firsts[1], 0, float("nan")), (firsts[3], 1, 9.0)])
+
+    def serve(hook):
+        clock = ManualClock()
+        primary = _cold_copy(cfsf_small)
+        if failing:
+            primary = FlakyRecommender(primary, fail_times=None)
+        service = make_service(
+            SlowRecommender(primary, delay=1e-3, sleep=clock.sleep),
+            strict=strict, clock=clock, sleep=clock.sleep, metrics=MetricsRegistry(),
+        )
+        result = _served(service, given, users, items, hook=hook, deadline=deadline)
+        totals = _registry_totals(service)
+        assert totals == _implied_totals(service, result)
+        if strict:
+            with pytest.raises(InvalidRequestError):
+                service.predict_many(given, np.array([10_000]), np.array([0]))
+            assert _registry_totals(service) == totals
+        return _fields(result), totals
+
+    plain, hooked = serve(False), serve(True)
+    assert plain == hooked
+    fields, _ = plain
+    assert all(np.isfinite(fields[0]))
+    assert any(fields[3]) == poisoned
+    assert fields[6] == (deadline == 0.0)

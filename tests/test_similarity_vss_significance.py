@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.similarity import (
     apply_threshold,
@@ -12,7 +14,6 @@ from repro.similarity import (
     pairwise_cosine,
     significance_weight,
     top_k_indices,
-    user_cosine,
 )
 
 
@@ -75,10 +76,6 @@ class TestCosine:
     def test_wrappers(self, masked_case):
         values, mask = masked_case
         assert np.allclose(item_cosine(values, mask), pairwise_cosine(values, mask))
-        assert np.allclose(
-            user_cosine(values, mask),
-            pairwise_cosine(np.ascontiguousarray(values.T), np.ascontiguousarray(mask.T)),
-        )
 
 
 class TestOverlapCounts:
@@ -146,3 +143,29 @@ class TestTopKIndices:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             top_k_indices(np.ones((2, 2)), 1)
+
+    def test_a_cut_through_ties_keeps_the_lowest_indices(self):
+        scores = np.tile([0.5, 0.1], 500)
+        assert top_k_indices(scores, 5).tolist() == [0, 2, 4, 6, 8]
+
+    @given(
+        scores=st.lists(
+            st.sampled_from([0.0, 0.1, 0.5, 1.0, -1.0, np.inf, -np.inf, np.nan]),
+            min_size=1, max_size=40,
+        ),
+        k=st.integers(1, 45),
+        exclude=st.none() | st.integers(0, 39),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_stable_full_sort(self, scores, k, exclude):
+        """Tie-heavy scores, with infinities and NaNs: the top *k* are
+        a stable full sort's first *k*, less the non-finite scores."""
+        s = np.array(scores)
+        if exclude is not None and exclude >= s.size:
+            exclude = None
+        ref = s.copy()
+        if exclude is not None:
+            ref[exclude] = -np.inf
+        want = np.argsort(-ref, kind="stable")[: min(k, s.size - (exclude is not None))]
+        want = want[np.isfinite(ref[want])]
+        assert top_k_indices(s, k, exclude=exclude).tolist() == want.tolist()

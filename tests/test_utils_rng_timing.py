@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils.rng import as_generator, spawn_seeds
+from repro.utils.rng import as_generator
 
 
 class TestAsGenerator:
@@ -29,25 +29,3 @@ class TestAsGenerator:
             as_generator(True)
         with pytest.raises(TypeError):
             as_generator("7")
-
-
-class TestSpawnSeeds:
-    def test_count_and_determinism(self):
-        assert spawn_seeds(0, 5) == spawn_seeds(0, 5)
-        assert len(spawn_seeds(0, 5)) == 5
-
-    def test_distinct(self):
-        seeds = spawn_seeds(0, 16)
-        assert len(set(seeds)) == 16
-
-    def test_zero_ok_negative_raises(self):
-        assert spawn_seeds(0, 0) == []
-        with pytest.raises(ValueError):
-            spawn_seeds(0, -1)
-
-    def test_shared_generator_advances(self):
-        g = np.random.default_rng(0)
-        a = spawn_seeds(g, 3)
-        b = spawn_seeds(g, 3)
-        assert a != b
-
