@@ -22,7 +22,7 @@ from repro.eval import TABLE2_MAE, evaluate, format_paper_table
 
 METHODS = {
     "CFSF": lambda: CFSF(),
-    "SUR": lambda: UserBasedCF(mean_offset=False),
+    "SUR": lambda: UserBasedCF(),
     "SIR": lambda: ItemBasedCF(),
 }
 

@@ -28,7 +28,7 @@ from repro.eval import TABLE3_MAE, format_paper_table, run_grid
 
 MODEL_FACTORIES = {
     "CFSF": lambda: CFSF(),
-    "SUR": lambda: UserBasedCF(mean_offset=False),   # literal Eq. 2
+    "SUR": lambda: UserBasedCF(),                    # literal Eq. 2
     "SIR": lambda: ItemBasedCF(),                    # literal Eq. 1
     "SF": lambda: SimilarityFusion(),
     "SCBPCC": lambda: SCBPCC(),

@@ -15,7 +15,11 @@ The interface mirrors the paper's offline/online split:
   described by a row of the ``given`` matrix (their GivenN revealed
   ratings over the same item space).  This models the paper's protocol
   where active users first "rate a certain number of items" and are
-  then served.
+  then served.  Its default is one per-user request loop; the six
+  memory-based baselines supply only :meth:`Recommender._predict_user`
+  (and, for batch-wide work, :meth:`Recommender._prepare_batch`), and
+  the vectorised models (CFSF, AM, MF, the mean predictors) override
+  it.
 
 Predictions are clipped to the training matrix's rating scale; when an
 algorithm has no information at all for a (user, item) pair it must
@@ -28,11 +32,12 @@ targets and flatter the metric.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.data.matrix import RatingMatrix
+from repro.utils.groups import user_blocks
 
 __all__ = ["Recommender", "NotFittedError", "fallback_baseline"]
 
@@ -63,7 +68,6 @@ class Recommender(abc.ABC):
         self._train = train
         return self
 
-    @abc.abstractmethod
     def predict_many(
         self,
         given: RatingMatrix,
@@ -71,6 +75,13 @@ class Recommender(abc.ABC):
         items: np.ndarray | Sequence[int],
     ) -> np.ndarray:
         """Predict ratings for parallel arrays of (active user row, item).
+
+        This default is the request loop the memory-based baselines
+        share: :meth:`_prepare_batch` runs once, then each user's block
+        of requests goes through :meth:`_predict_user`, and a request
+        it leaves without a neighbourhood keeps
+        :func:`fallback_baseline`'s value.  Vectorised models override
+        it.
 
         Parameters
         ----------
@@ -84,7 +95,48 @@ class Recommender(abc.ABC):
         -------
         numpy.ndarray
             Finite float predictions, clipped to the rating scale.
+
+        Examples
+        --------
+        Item 0 gets no prediction here, so it keeps the fallback
+        ``0.5 * 1.0 + 0.5 * 3.0``:
+
+        >>> class ItemOneOnly(Recommender):
+        ...     def fit(self, train):
+        ...         return super().fit(train)
+        ...     def _predict_user(self, given, user, items, batch):
+        ...         return np.full(items.shape, 5.0), items == 1
+        >>> train = RatingMatrix(np.array([[4.0, 2.0], [2.0, 2.0]]))
+        >>> given = RatingMatrix(np.array([[1.0, 0.0]]))
+        >>> ItemOneOnly().fit(train).predict_many(given, [0, 0], [0, 1])
+        array([2., 5.])
         """
+        users, items = self._check_request(given, users, items)
+        if users.size == 0:
+            return np.empty(0, dtype=np.float64)
+        out = fallback_baseline(self._require_fitted(), given, users, items)
+        batch = self._prepare_batch(given)
+        for block in user_blocks(users):
+            pred, ok = self._predict_user(
+                given, int(users[block[0]]), items[block], batch
+            )
+            out[block] = np.where(ok, pred, out[block])
+        return self._clip(out)
+
+    def _prepare_batch(self, given: RatingMatrix) -> Any:
+        """Batch-wide work every user block reads (for example the
+        active-vs-train PCC); passed to each :meth:`_predict_user`."""
+        return None
+
+    def _predict_user(
+        self, given: RatingMatrix, user: int, items: np.ndarray, batch: Any
+    ) -> tuple[Any, Any]:
+        """``(pred, ok)`` for one active user's requested *items*: the
+        loop keeps ``pred`` where ``ok`` holds and the fallback
+        elsewhere (both broadcast against *items*)."""
+        raise NotImplementedError(
+            f"{type(self).__name__} overrides neither predict_many nor _predict_user"
+        )
 
     def predict(self, given: RatingMatrix, user: int, item: int) -> float:
         """Single-pair convenience wrapper over :meth:`predict_many`."""

@@ -27,11 +27,9 @@ EMDP rival CFSF, while the published thresholds leave it mid-pack.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.baselines.base import Recommender, fallback_baseline
+from repro.baselines.base import Recommender
 from repro.data.matrix import RatingMatrix
 from repro.similarity import (
     item_pcc,
@@ -40,7 +38,6 @@ from repro.similarity import (
     significance_weight,
     user_pcc,
 )
-from repro.utils.groups import user_blocks
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["EMDP"]
@@ -61,10 +58,6 @@ class EMDP(Recommender):
     gamma:
         Significance-weighting knee γ (co-ratings needed for a
         similarity to count at full strength).
-    fill_training:
-        Run step 3 (missing-data prediction inside the training
-        matrix).  Disabling it degrades EMDP to a thresholded
-        two-source fusion; the ablation benchmarks use this switch.
     """
 
     def __init__(
@@ -74,7 +67,6 @@ class EMDP(Recommender):
         eta: float = 0.5,
         theta: float = 0.5,
         gamma: int = 30,
-        fill_training: bool = True,
     ) -> None:
         check_fraction(lam, "lam")
         check_fraction(eta, "eta")
@@ -84,10 +76,10 @@ class EMDP(Recommender):
         self.eta = eta
         self.theta = theta
         self.gamma = gamma
-        self.fill_training = bool(fill_training)
         self._item_sim: np.ndarray | None = None
         self._filled_values: np.ndarray | None = None
         self._filled_mask: np.ndarray | None = None
+        self._filled_dev: np.ndarray | None = None
         self._user_means: np.ndarray | None = None
         self._item_means: np.ndarray | None = None
 
@@ -110,19 +102,23 @@ class EMDP(Recommender):
         item_sim[item_sim <= self.theta] = 0.0
         self._item_sim = item_sim
 
-        if self.fill_training:
-            user_sim = user_pcc(train.values, train.mask)
-            user_sim = significance_weight(
-                user_sim, overlap_counts(train.mask, axis="rows"), gamma=self.gamma
-            )
-            np.fill_diagonal(user_sim, 0.0)
-            user_sim[user_sim <= self.eta] = 0.0
-            filled, filled_mask = self._fill_matrix(train, user_sim)
-            self._filled_values = filled
-            self._filled_mask = filled_mask
-        else:
-            self._filled_values = np.where(train.mask, train.values, 0.0)
-            self._filled_mask = train.mask.copy()
+        user_sim = user_pcc(train.values, train.mask)
+        user_sim = significance_weight(
+            user_sim, overlap_counts(train.mask, axis="rows"), gamma=self.gamma
+        )
+        np.fill_diagonal(user_sim, 0.0)
+        user_sim[user_sim <= self.eta] = 0.0
+        filled, filled_mask = self._fill_matrix(train, user_sim)
+        self._filled_values = filled
+        self._filled_mask = filled_mask
+        # Deviations from each user's mean over their filled row (the
+        # global mean for a row with nothing filled).
+        row_means = np.where(
+            filled_mask.any(axis=1),
+            filled.sum(axis=1) / np.maximum(filled_mask.sum(axis=1), 1),
+            train.global_mean(),
+        )
+        self._filled_dev = (filled - row_means[:, None]) * filled_mask
         return self
 
     def _fill_matrix(
@@ -169,73 +165,47 @@ class EMDP(Recommender):
         return filled, filled_mask
 
     # ------------------------------------------------------------------
-    def predict_many(
-        self,
-        given: RatingMatrix,
-        users: np.ndarray | Sequence[int],
-        items: np.ndarray | Sequence[int],
-    ) -> np.ndarray:
-        users, items = self._check_request(given, users, items)
-        if users.size == 0:
-            return np.empty(0, dtype=np.float64)
+    def _prepare_batch(self, given: RatingMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Active-vs-train similarities over the *original* profiles,
+        significance-devalued by the co-rating count and thresholded,
+        and the active users' given-means."""
         train = self._require_fitted()
-        assert self._item_sim is not None
-        assert self._filled_values is not None and self._filled_mask is not None
-        assert self._item_means is not None
-
-        # Active-vs-train similarities over the *original* profiles,
-        # significance-devalued by the co-rating count, thresholded.
         sims = pcc_to_rows(given.values, given.mask, train.values, train.mask)
         n_co = (given.mask.astype(np.float64) @ train.mask.astype(np.float64).T)
         sims = sims * (np.minimum(n_co, self.gamma) / self.gamma)
         sims[sims <= self.eta] = 0.0
+        return sims, given.user_means(fill=train.global_mean())
 
-        gmean = train.global_mean()
-        given_means = given.user_means(fill=gmean)
-        fallback = fallback_baseline(train, given, users, items)
-        filled_dev = (self._filled_values - np.where(
-            self._filled_mask.any(axis=1)[:, None],
-            # mean over filled row entries
-            self._filled_values.sum(axis=1)[:, None]
-            / np.maximum(self._filled_mask.sum(axis=1), 1)[:, None],
-            gmean,
-        )) * self._filled_mask
-        out = np.empty(users.shape, dtype=np.float64)
+    def _predict_user(
+        self,
+        given: RatingMatrix,
+        user: int,
+        items: np.ndarray,
+        batch: tuple[np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        assert self._item_sim is not None and self._item_means is not None
+        assert self._filled_mask is not None and self._filled_dev is not None
+        sims, given_means = batch
+        s = sims[user]  # (P,)
 
-        for block in user_blocks(users):
-            b = int(users[block[0]])
-            q_items = items[block]
-            s = sims[b]  # (P,)
+        # User-based term over the filled matrix.
+        den_u = (s[:, None] * self._filled_mask[:, items]).sum(axis=0)
+        num_u = (s[:, None] * self._filled_dev[:, items]).sum(axis=0)
+        has_u = den_u > 0.0
+        est_u = given_means[user] + num_u / np.where(has_u, den_u, 1.0)
 
-            # User-based term over the filled matrix.
-            raters = self._filled_mask[:, q_items]
-            w = s[:, None] * raters
-            den_u = w.sum(axis=0)
-            num_u = (s[:, None] * filled_dev[:, q_items]).sum(axis=0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                est_u = given_means[b] + num_u / np.where(den_u > 0.0, den_u, 1.0)
-            has_u = den_u > 0.0
+        # Item-based term over the user's given ratings.
+        rated_idx, rated_vals = given.user_profile(user)
+        s_items = self._item_sim[np.ix_(items, rated_idx)]
+        den_i = s_items.sum(axis=1)
+        num_i = s_items @ (rated_vals - self._item_means[rated_idx])
+        has_i = den_i > 0.0
+        est_i = self._item_means[items] + num_i / np.where(has_i, den_i, 1.0)
 
-            # Item-based term over the user's given ratings.
-            rated_idx, rated_vals = given.user_profile(b)
-            if rated_idx.size:
-                s_items = self._item_sim[np.ix_(q_items, rated_idx)]
-                den_i = s_items.sum(axis=1)
-                num_i = s_items @ (rated_vals - self._item_means[rated_idx])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    est_i = self._item_means[q_items] + num_i / np.where(
-                        den_i > 0.0, den_i, 1.0
-                    )
-                has_i = den_i > 0.0
-            else:
-                est_i = np.zeros(q_items.shape)
-                has_i = np.zeros(q_items.shape, dtype=bool)
-
-            lam = self.lam
-            pred = np.where(
-                has_u & has_i,
-                lam * est_u + (1.0 - lam) * est_i,
-                np.where(has_u, est_u, np.where(has_i, est_i, fallback[block])),
-            )
-            out[block] = pred
-        return self._clip(out)
+        lam = self.lam
+        pred = np.where(
+            has_u & has_i,
+            lam * est_u + (1.0 - lam) * est_i,
+            np.where(has_u, est_u, est_i),
+        )
+        return pred, has_u | has_i

@@ -18,16 +18,13 @@ its Eq. 13.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from repro.baselines.base import Recommender, fallback_baseline
+from repro.baselines.base import Recommender
 from repro.core.fusion import fusion_weights
 from repro.core.gis import _top_m_order
 from repro.data.matrix import RatingMatrix
 from repro.similarity import item_pcc, pcc_to_rows, top_k_indices
-from repro.utils.groups import user_blocks
 from repro.utils.validation import check_fraction, check_positive_int
 
 __all__ = ["SimilarityFusion"]
@@ -89,102 +86,71 @@ class SimilarityFusion(Recommender):
         self._dev = (train.values - self._user_means[:, None]) * train.mask
         return self
 
-    def predict_many(
+    def _prepare_batch(self, given: RatingMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """Whole-population active-vs-train similarities (the SF cost)
+        and the active users' given-means."""
+        train = self._require_fitted()
+        sims = pcc_to_rows(given.values, given.mask, train.values, train.mask)
+        return sims, given.user_means(fill=train.global_mean())
+
+    def _predict_user(
         self,
         given: RatingMatrix,
-        users: np.ndarray | Sequence[int],
-        items: np.ndarray | Sequence[int],
-    ) -> np.ndarray:
-        users, items = self._check_request(given, users, items)
-        if users.size == 0:
-            return np.empty(0, dtype=np.float64)
+        user: int,
+        items: np.ndarray,
+        batch: tuple[np.ndarray, np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
         train = self._require_fitted()
         assert self._item_sim is not None and self._item_nbr is not None
         assert self._user_means is not None and self._item_means is not None
         assert self._dev is not None
-        w_sir, w_sur, w_suir = fusion_weights(self.lam, self.delta)
-
-        # Whole-population active-vs-train similarities (the SF cost).
-        sims_all = pcc_to_rows(given.values, given.mask, train.values, train.mask)
+        sims_all, given_means = batch
         gmean = train.global_mean()
-        given_means = given.user_means(fill=gmean)
-        fallback = fallback_baseline(train, given, users, items)
-        out = np.empty(users.shape, dtype=np.float64)
+        mean_b = given_means[user]
+        rated_idx, rated_vals = given.user_profile(user)
 
-        for block in user_blocks(users):
-            b = int(users[block[0]])
-            q_items = items[block]
-            mean_b = given_means[b]
-            rated_idx, rated_vals = given.user_profile(b)
+        # Top-K users for this active profile (positive sims only).
+        s_row = np.maximum(sims_all[user], 0.0)
+        top_users = top_k_indices(s_row, self.top_k_users)
+        top_users = top_users[s_row[top_users] > 0.0]
+        s_u = s_row[top_users]
 
-            # Top-K users for this active profile (positive sims only).
-            s_row = np.maximum(sims_all[b], 0.0)
-            top_users = top_k_indices(s_row, self.top_k_users)
-            top_users = top_users[s_row[top_users] > 0.0]
-            s_u = s_row[top_users]
+        # ---- SIR term (item dimension, item-mean offsets) -----------
+        si = np.maximum(self._item_sim[np.ix_(items, rated_idx)], 0.0)
+        den = si.sum(axis=1)
+        num = si @ (rated_vals - self._item_means[rated_idx])
+        sir_ok = den > 0.0
+        sir = np.where(
+            sir_ok, self._item_means[items] + num / np.where(sir_ok, den, 1.0), mean_b
+        )
 
-            # ---- SIR term (item dimension, item-mean offsets) -------
-            if rated_idx.size:
-                si = np.maximum(self._item_sim[np.ix_(q_items, rated_idx)], 0.0)
-                den = si.sum(axis=1)
-                num = si @ (rated_vals - self._item_means[rated_idx])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sir = np.where(
-                        den > 0.0,
-                        self._item_means[q_items] + num / np.where(den > 0.0, den, 1.0),
-                        mean_b,
-                    )
-                sir_ok = den > 0.0
-            else:
-                sir = np.full(q_items.shape, mean_b)
-                sir_ok = np.zeros(q_items.shape, dtype=bool)
+        # ---- SUR term (user dimension, user-mean offsets) -----------
+        raters = train.mask[np.ix_(top_users, items)]
+        den = (s_u[:, None] * raters).sum(axis=0)
+        num = (s_u[:, None] * self._dev[np.ix_(top_users, items)]).sum(axis=0)
+        sur_ok = den > 0.0
+        sur = np.where(sur_ok, mean_b + num / np.where(sur_ok, den, 1.0), mean_b)
 
-            # ---- SUR term (user dimension, user-mean offsets) -------
-            if top_users.size:
-                raters = train.mask[np.ix_(top_users, q_items)]
-                w = s_u[:, None] * raters
-                den = w.sum(axis=0)
-                num = (s_u[:, None] * self._dev[np.ix_(top_users, q_items)]).sum(axis=0)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sur = np.where(
-                        den > 0.0, mean_b + num / np.where(den > 0.0, den, 1.0), mean_b
-                    )
-                sur_ok = den > 0.0
-            else:
-                sur = np.full(q_items.shape, mean_b)
-                sur_ok = np.zeros(q_items.shape, dtype=bool)
+        # ---- SUIR term (both dimensions, double offsets) ------------
+        nbr = self._item_nbr[items]                         # (nq, M)
+        s_i = np.maximum(self._item_sim[items[:, None], nbr], 0.0)
+        si3 = s_i[:, None, :]                               # (nq, 1, M)
+        su3 = s_u[None, :, None]                            # (1, K, 1)
+        dd = np.sqrt(si3 * si3 + su3 * su3)
+        pair = np.where(dd > 0.0, si3 * su3 / np.where(dd > 0.0, dd, 1.0), 0.0)
+        rated_cells = train.mask[top_users[:, None, None], nbr[None, :, :]]
+        vals = train.values[top_users[:, None, None], nbr[None, :, :]]
+        dev = (
+            vals
+            - self._user_means[top_users][:, None, None]
+            - (self._item_means[nbr][None, :, :] - gmean)
+        )
+        w3 = pair * np.transpose(rated_cells, (1, 0, 2))
+        den3 = w3.sum(axis=(1, 2))
+        num3 = (w3 * np.transpose(dev, (1, 0, 2))).sum(axis=(1, 2))
+        anchor = mean_b + (self._item_means[items] - gmean)
+        suir_ok = den3 > 0.0
+        suir = np.where(suir_ok, anchor + num3 / np.where(suir_ok, den3, 1.0), mean_b)
 
-            # ---- SUIR term (both dimensions, double offsets) --------
-            if top_users.size:
-                nbr = self._item_nbr[q_items]                     # (nq, M)
-                s_i = np.maximum(self._item_sim[q_items[:, None], nbr], 0.0)
-                si3 = s_i[:, None, :]                             # (nq, 1, M)
-                su3 = s_u[None, :, None]                          # (1, K, 1)
-                dd = np.sqrt(si3 * si3 + su3 * su3)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    pair = np.where(dd > 0.0, si3 * su3 / np.where(dd > 0.0, dd, 1.0), 0.0)
-                rated_cells = train.mask[top_users[:, None, None], nbr[None, :, :]]
-                vals = train.values[top_users[:, None, None], nbr[None, :, :]]
-                dev = (
-                    vals
-                    - self._user_means[top_users][:, None, None]
-                    - (self._item_means[nbr][None, :, :] - gmean)
-                )
-                w3 = pair * np.transpose(rated_cells, (1, 0, 2))
-                den3 = w3.sum(axis=(1, 2))
-                num3 = (w3 * np.transpose(dev, (1, 0, 2))).sum(axis=(1, 2))
-                anchor = mean_b + (self._item_means[q_items] - gmean)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    suir = np.where(
-                        den3 > 0.0, anchor + num3 / np.where(den3 > 0.0, den3, 1.0), mean_b
-                    )
-                suir_ok = den3 > 0.0
-            else:
-                suir = np.full(q_items.shape, mean_b)
-                suir_ok = np.zeros(q_items.shape, dtype=bool)
-
-            pred = w_sir * sir + w_sur * sur + w_suir * suir
-            none_ok = ~(sir_ok | sur_ok | suir_ok)
-            pred = np.where(none_ok, fallback[block], pred)
-            out[block] = pred
-        return self._clip(out)
+        w_sir, w_sur, w_suir = fusion_weights(self.lam, self.delta)
+        return w_sir * sir + w_sur * sur + w_suir * suir, sir_ok | sur_ok | suir_ok

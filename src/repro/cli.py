@@ -65,7 +65,7 @@ __all__ = ["main", "build_parser"]
 
 _TABLE2_METHODS = {
     "CFSF": lambda: CFSF(),
-    "SUR": lambda: UserBasedCF(mean_offset=False),
+    "SUR": lambda: UserBasedCF(),
     "SIR": lambda: ItemBasedCF(),
 }
 _TABLE3_METHODS = {

@@ -13,22 +13,18 @@ Missing ratings are explicit: a dense float64 ``values`` array paired
 with a boolean ``mask`` (``True`` = rated).  At MovieLens scale
 (500 x 1000, ~9.4% dense) the dense-plus-mask layout is both smaller
 than pointer-chasing sparse formats would suggest and vastly faster for
-the masked Gram products that all similarity kernels reduce to.  A CSR
-view is provided for algorithms that genuinely iterate nonzeros.
+the masked Gram products that all similarity kernels reduce to.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.utils.validation import check_mask, check_rating_matrix
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 __all__ = ["RatingMatrix", "DatasetStats"]
 
@@ -189,21 +185,6 @@ class RatingMatrix:
         mask[users, items] = True
         return cls(values, mask, rating_scale=rating_scale)
 
-    @classmethod
-    def from_csr(
-        cls,
-        csr: sparse.spmatrix,
-        *,
-        rating_scale: tuple[float, float] = (1.0, 5.0),
-    ) -> "RatingMatrix":
-        """Build a matrix from any SciPy sparse matrix (nonzero = rated)."""
-        from scipy import sparse
-
-        csr = sparse.csr_matrix(csr)
-        values = np.asarray(csr.todense(), dtype=np.float64)
-        mask = values != 0.0
-        return cls(values, mask, rating_scale=rating_scale)
-
     # ------------------------------------------------------------------
     # Basic geometry
     # ------------------------------------------------------------------
@@ -324,28 +305,6 @@ class RatingMatrix:
     # ------------------------------------------------------------------
     # Views and conversions
     # ------------------------------------------------------------------
-    def to_csr(self) -> sparse.csr_matrix:
-        """CSR view for algorithms that iterate nonzeros.
-
-        A rating whose value is exactly 0.0 cannot be represented in
-        this view; with the default 1..5 scale that never occurs.
-        """
-        from scipy import sparse
-
-        return sparse.csr_matrix(np.where(self._mask, self._values, 0.0))
-
-    def to_triplets(self) -> list[tuple[int, int, float]]:
-        """Observed ratings as ``(user, item, rating)`` triplets."""
-        users, items = np.nonzero(self._mask)
-        vals = self._values[users, items]
-        return list(zip(users.tolist(), items.tolist(), vals.tolist()))
-
-    def iter_user_profiles(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Yield ``(user_index, rated_item_indices, ratings)`` per user."""
-        for u in range(self.n_users):
-            idx = np.nonzero(self._mask[u])[0]
-            yield u, idx, self._values[u, idx]
-
     def user_profile(self, user: int) -> tuple[np.ndarray, np.ndarray]:
         """``(rated_item_indices, ratings)`` for one user row."""
         idx = np.nonzero(self._mask[user])[0]
@@ -483,23 +442,6 @@ class RatingMatrix:
         return RatingMatrix._from_parts(
             values, mask, self.rating_scale,
             checked=True, row_keys=row_keys, bad_rows=bad_rows,
-        )
-
-    def append_users(self, other: "RatingMatrix") -> "RatingMatrix":
-        """Stack another matrix's users below this one (same items).
-
-        The online phase of CFSF folds active users into the training
-        matrix this way ("CFSF requires him or her to rate a certain
-        number of items and then inserts a record", Section IV-A).
-        """
-        if other.n_items != self.n_items:
-            raise ValueError(
-                f"item count mismatch: {self.n_items} vs {other.n_items}"
-            )
-        return RatingMatrix(
-            np.vstack([self._values, other._values]),
-            np.vstack([self._mask, other._mask]),
-            rating_scale=self.rating_scale,
         )
 
 

@@ -22,7 +22,7 @@ This module provides:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -91,12 +91,6 @@ class GivenNSplit:
     def n_targets(self) -> int:
         """Number of held-out ratings to predict (``|T|`` in Eq. 15)."""
         return self.heldout.n_ratings
-
-    def iter_targets(self) -> Iterator[tuple[int, int, float]]:
-        """Yield ``(active_user_row, item, true_rating)`` targets."""
-        users, items = np.nonzero(self.heldout.mask)
-        vals = self.heldout.values[users, items]
-        yield from zip(users.tolist(), items.tolist(), vals.tolist())
 
     def targets_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Targets as parallel arrays ``(user_rows, items, ratings)``."""

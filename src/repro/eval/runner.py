@@ -56,10 +56,6 @@ class GridResult:
         """``{(split_name, method): mae}`` for the report formatter."""
         return {(r.split_name, r.model_name): r.mae for r in self.results}
 
-    def by_method(self, method: str) -> list[EvaluationResult]:
-        """All results of one method, in run order."""
-        return [r for r in self.results if r.model_name == method]
-
     def best_method_per_split(self) -> dict[str, str]:
         """``{split_name: winning method}`` by MAE."""
         best: dict[str, EvaluationResult] = {}

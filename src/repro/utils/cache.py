@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Hashable, Iterator, Sequence
 
 __all__ = ["LRUCache"]
 
@@ -168,21 +168,6 @@ class LRUCache:
         """
         with self._mutex:
             self._data.pop(key, None)
-
-    def get_or_compute(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """Return cached value for *key*, computing and storing on a miss.
-
-        The factory runs outside the mutex (it may be expensive); two
-        threads missing concurrently both compute, and the last write
-        wins — acceptable because cached values are deterministic
-        functions of the key.
-        """
-        sentinel = object()
-        value = self.get(key, sentinel)
-        if value is sentinel:
-            value = factory()
-            self.put(key, value)
-        return value
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

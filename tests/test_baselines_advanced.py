@@ -80,16 +80,6 @@ class TestSCBPCC:
     def test_beats_mean_baseline(self, split_small, baseline_mae):
         assert _score(SCBPCC(n_clusters=8, top_k=10), split_small) < baseline_mae
 
-    def test_cluster_preselection_reduces_candidates(self, split_small):
-        users, items, _ = split_small.targets_arrays()
-        full = SCBPCC(n_clusters=8, top_k=10).fit(split_small.train)
-        narrow = SCBPCC(n_clusters=8, top_k=10, n_candidate_clusters=1).fit(
-            split_small.train
-        )
-        pf = full.predict_many(split_small.given, users[:40], items[:40])
-        pn = narrow.predict_many(split_small.given, users[:40], items[:40])
-        assert not np.allclose(pf, pn)
-
     def test_shares_smoothing_with_cfsf(self, split_small):
         """SCBPCC's smoothed matrix must be the same object type and
         semantics as CFSF's (shared machinery, per DESIGN.md)."""
@@ -120,10 +110,6 @@ class TestEMDP:
         vals = model._filled_values[filled_only]
         lo, hi = split_small.train.rating_scale
         assert vals.min() >= lo and vals.max() <= hi
-
-    def test_no_fill_mode(self, split_small):
-        model = EMDP(fill_training=False).fit(split_small.train)
-        assert model._filled_mask.sum() == split_small.train.mask.sum()
 
     def test_loose_thresholds_beat_mean(self, split_small, baseline_mae):
         assert _score(EMDP(eta=0.1, theta=0.1), split_small) < baseline_mae
@@ -195,13 +181,6 @@ class TestPersonalityDiagnosis:
         lo, hi = split_small.train.rating_scale
         assert preds.min() >= lo and preds.max() <= hi
 
-    def test_argmax_mode_discrete(self, split_small):
-        users, items, _ = split_small.targets_arrays()
-        preds = PersonalityDiagnosis(mode="argmax").fit(split_small.train).predict_many(
-            split_small.given, users[:50], items[:50]
-        )
-        assert set(np.unique(preds)).issubset({1.0, 2.0, 3.0, 4.0, 5.0})
-
     def test_copycat_personality_dominates(self):
         """If one training user matches the active profile exactly and
         everyone else is far, PD must predict (near) that user's rating."""
@@ -220,5 +199,3 @@ class TestPersonalityDiagnosis:
     def test_sigma_validation(self):
         with pytest.raises(ValueError):
             PersonalityDiagnosis(sigma=0.0)
-        with pytest.raises(ValueError):
-            PersonalityDiagnosis(mode="median")

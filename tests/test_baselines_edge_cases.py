@@ -101,3 +101,21 @@ class TestUniformContracts:
         model.fit(other)
         p2 = model.predict(tiny_given, 0, 2)
         assert np.isfinite(p1) and np.isfinite(p2)
+
+    @pytest.mark.parametrize("factory", ALL_FACTORIES, ids=IDS)
+    def test_request_order_does_not_matter(self, factory, tiny_train, tiny_given):
+        """A shuffled batch, the user-sorted batch and one call per
+        request give bit-identical answers: grouping a batch by user
+        and scattering the answers back must not change any value."""
+        model = factory().fit(tiny_train)
+        users = np.repeat(np.arange(4), 15)
+        items = np.tile(np.arange(15), 4)
+        perm = np.random.default_rng(5).permutation(users.size)
+        in_order = model.predict_many(tiny_given, users, items)
+        shuffled = np.empty_like(in_order)
+        shuffled[perm] = model.predict_many(tiny_given, users[perm], items[perm])
+        one_by_one = np.array(
+            [model.predict(tiny_given, u, i) for u, i in zip(users, items)]
+        )
+        np.testing.assert_array_equal(shuffled, in_order)
+        np.testing.assert_array_equal(one_by_one, in_order)

@@ -68,11 +68,6 @@ class TestTargets:
         assert len(users) == split_small.n_targets
         assert np.all(split_small.heldout.values[users, items] == ratings)
 
-    def test_iter_targets_matches_arrays(self, split_small):
-        listed = list(split_small.iter_targets())
-        users, items, ratings = split_small.targets_arrays()
-        assert len(listed) == len(users)
-        assert listed[0] == (users[0], items[0], ratings[0])
 
 
 class TestPaperGrid:

@@ -30,7 +30,7 @@ def lineup_maes(split_small):
     models = {
         "CFSF": CFSF(**SMALL_CFSF),
         "SIR": ItemBasedCF(),
-        "SUR": UserBasedCF(mean_offset=False),
+        "SUR": UserBasedCF(),
         "SF": SimilarityFusion(top_k_users=15, top_m_items=20),
         "SCBPCC": SCBPCC(n_clusters=8, top_k=10),
         "EMDP": EMDP(),

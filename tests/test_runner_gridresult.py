@@ -26,17 +26,6 @@ class TestGridResult:
         grid = GridResult(results=(_result("A", "s1", 0.7), _result("B", "s1", 0.8)))
         assert grid.mae_map() == {("s1", "A"): 0.7, ("s1", "B"): 0.8}
 
-    def test_by_method_preserves_order(self):
-        grid = GridResult(
-            results=(
-                _result("A", "s1", 0.7),
-                _result("B", "s1", 0.8),
-                _result("A", "s2", 0.6),
-            )
-        )
-        a_results = grid.by_method("A")
-        assert [r.split_name for r in a_results] == ["s1", "s2"]
-
     def test_best_method_per_split(self):
         grid = GridResult(
             results=(

@@ -79,23 +79,6 @@ class TestCounters:
         assert len(c) == 0 and c.hits == 0 and c.misses == 0
 
 
-class TestGetOrCompute:
-    def test_computes_once(self):
-        c = LRUCache(4)
-        calls = []
-        for _ in range(3):
-            v = c.get_or_compute("k", lambda: calls.append(1) or "value")
-        assert v == "value" and len(calls) == 1
-
-    def test_caches_none_values(self):
-        """A factory returning None must still be cached (sentinel test)."""
-        c = LRUCache(4)
-        calls = []
-        for _ in range(2):
-            c.get_or_compute("k", lambda: calls.append(1))
-        assert len(calls) == 1
-
-
 class TestDiscard:
     def test_discard_removes_one_key_and_keeps_counters(self):
         c = LRUCache(3)
